@@ -4,7 +4,8 @@
 #
 #   ./ci.sh            # Release (warnings-as-errors) + ASan/UBSan (+ TSan)
 #   ./ci.sh release    # just the Release leg (+ fault-seed sweep over the
-#                      # crash-recovery differential suite)
+#                      # crash-recovery differential suite and the
+#                      # end-to-end benchmark smoke)
 #   ./ci.sh asan       # the sanitizer leg: ASan/UBSan suite + fault-seed
 #                      # sweep + a TSan sibling config running the
 #                      # parallel-path, quarantine/watchdog, and pinned
@@ -106,6 +107,12 @@ if [[ "${MODE}" == "all" || "${MODE}" == "release" ]]; then
     -DRELBORG_WERROR=ON \
     -DRELBORG_NATIVE=OFF
   fault_sweep release build-ci-release
+  echo "==== [release] end-to-end benchmark smoke"
+  # Every workload at tiny scale, traced and untraced, with the benchmark's
+  # own verification: the learn tree bit-identical between repetitions,
+  # the covariance batch against its query-at-a-time oracle, the stream
+  # workloads against serial replay.
+  CARGO_TARGET_DIR="build-ci-release/e2e-bench" python3 e2e_bench/run.py --smoke
 fi
 
 if [[ "${MODE}" == "all" || "${MODE}" == "asan" ]]; then

@@ -161,41 +161,6 @@ void PartitionedScan(const ExecContext& ctx, size_t rows, Partial* out,
   for (size_t p = 0; p < parts; ++p) merge(out, &partials[p]);
 }
 
-// Variant of PartitionedScan for scans that fan out into `n_slots` final
-// accumulators (e.g. one per candidate of a decision-node batch). The scan
-// receives a vector of slot pointers: the final accumulators themselves on
-// the one-partition path (exactly the legacy pass), per-partition partials
-// otherwise; `final_slot(k)` names the final accumulator and
-// `merge(slot_k, &partial_k)` folds partials in ascending partition order.
-// Same determinism contract as PartitionedScan.
-template <typename Partial, typename FinalSlotFn, typename ScanFn,
-          typename MergeFn>
-void PartitionedSlotScan(const ExecContext& ctx, size_t rows, size_t n_slots,
-                         FinalSlotFn&& final_slot, ScanFn&& scan,
-                         MergeFn&& merge) {
-  const size_t parts = ctx.NumPartitions(rows);
-  if (parts <= 1) {
-    std::vector<Partial*> slots(n_slots);
-    for (size_t k = 0; k < n_slots; ++k) slots[k] = final_slot(k);
-    scan(0, rows, slots);
-    return;
-  }
-  std::vector<std::vector<Partial>> partials(parts);
-  ctx.ParallelFor(parts, [&](size_t p) {
-    const std::pair<size_t, size_t> b =
-        ExecContext::PartitionBounds(rows, parts, p);
-    partials[p].resize(n_slots);
-    std::vector<Partial*> slots(n_slots);
-    for (size_t k = 0; k < n_slots; ++k) slots[k] = &partials[p][k];
-    scan(b.first, b.second, slots);
-  });
-  for (size_t p = 0; p < parts; ++p) {
-    for (size_t k = 0; k < n_slots; ++k) {
-      merge(final_slot(k), &partials[p][k]);
-    }
-  }
-}
-
 }  // namespace relborg
 
 #endif  // RELBORG_CORE_EXEC_POLICY_H_

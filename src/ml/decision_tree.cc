@@ -171,20 +171,34 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
                                   -std::numeric_limits<double>::infinity());
   std::vector<SplitCandidate> batch = candidates;
   batch.push_back(base);
-  const size_t base_idx = batch.size() - 1;
+  // A node that cannot split evaluates the base candidate alone: the
+  // engine computes each candidate independently of the others in the
+  // batch, so its count and prediction stay bit-identical.
+  const std::vector<SplitCandidate> base_only{base};
 
+  // A node can split below max_depth once the exact count its parent
+  // computed for it reaches min_node_count (the root's count is unknown
+  // until its own batch runs).
+  auto can_split = [&](int depth, double count) {
+    return depth < options.max_depth && count >= options.min_node_count;
+  };
   struct WorkItem {
     int node_index;
     FilterSet filters;
     int depth;
+    bool can_split;
   };
   tree.nodes_.push_back(Node{});
-  std::vector<WorkItem> work{{0, FilterSet(query.num_relations()), 0}};
+  std::vector<WorkItem> work{{0, FilterSet(query.num_relations()), 0,
+                              options.max_depth > 0}};
 
   while (!work.empty()) {
     WorkItem item = std::move(work.back());
     work.pop_back();
     Node& node = tree.nodes_[item.node_index];
+    const std::vector<SplitCandidate>& node_batch =
+        item.can_split ? batch : base_only;
+    const size_t base_idx = node_batch.size() - 1;
 
     int best = -1;
     double best_gain = options.min_gain;
@@ -193,13 +207,12 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
 
     if (!classification) {
       std::vector<SplitStats> stats = ComputeSplitStats(
-          query, response_node, response_attr, item.filters, batch);
-      tree.aggregates_evaluated_ += DecisionNodeBatchSize(batch.size());
+          query, response_node, response_attr, item.filters, node_batch);
+      tree.aggregates_evaluated_ += DecisionNodeBatchSize(node_batch.size());
       const SplitStats& parent = stats[base_idx];
       node.count = parent.count;
       node.prediction = parent.count > 0 ? parent.sum / parent.count : 0;
-      if (item.depth >= options.max_depth ||
-          parent.count < options.min_node_count) {
+      if (!item.can_split || parent.count < options.min_node_count) {
         continue;  // leaf
       }
       double parent_sse = SseOf(parent);
@@ -220,8 +233,8 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
       }
     } else {
       std::vector<FlatHashMap<double>> counts = ComputeSplitClassCounts(
-          query, response_node, response_attr, item.filters, batch);
-      tree.aggregates_evaluated_ += batch.size();
+          query, response_node, response_attr, item.filters, node_batch);
+      tree.aggregates_evaluated_ += node_batch.size();
       ClassStats parent;
       counts[base_idx].ForEach([&](uint64_t cls, double c) {
         parent.per_class[cls] += c;
@@ -229,8 +242,7 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
       });
       node.count = parent.count;
       node.prediction = MajorityClass(parent);
-      if (item.depth >= options.max_depth ||
-          parent.count < options.min_node_count) {
+      if (!item.can_split || parent.count < options.min_node_count) {
         continue;
       }
       double parent_gini = GiniImpurity(parent);
@@ -276,9 +288,11 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
     FilterSet no_filters = std::move(item.filters);
     no_filters[candidates[best].node].push_back(Negate(candidates[best].pred));
     work.push_back({tree.nodes_[item.node_index].yes_child,
-                    std::move(yes_filters), item.depth + 1});
+                    std::move(yes_filters), item.depth + 1,
+                    can_split(item.depth + 1, yes_node.count)});
     work.push_back({tree.nodes_[item.node_index].no_child,
-                    std::move(no_filters), item.depth + 1});
+                    std::move(no_filters), item.depth + 1,
+                    can_split(item.depth + 1, no_node.count)});
   }
   return tree;
 }

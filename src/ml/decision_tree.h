@@ -1,10 +1,10 @@
 // CART decision trees trained over aggregates (Sec. 2.2).
 //
-// Each tree node evaluates its whole batch of candidate-split cost
-// functions through the decision-node engine (shared factorized passes)
-// instead of scanning a materialized data matrix: VARIANCE(Y) under the
-// path condition AND the split condition for regression, per-class counts
-// (Gini) for classification.
+// Each tree node that can still split evaluates its whole batch of
+// candidate-split cost functions through the decision-node engine (shared
+// factorized messages) instead of scanning a materialized data matrix:
+// VARIANCE(Y) under the path condition AND the split condition for
+// regression, per-class counts (Gini) for classification.
 #ifndef RELBORG_ML_DECISION_TREE_H_
 #define RELBORG_ML_DECISION_TREE_H_
 
@@ -73,7 +73,15 @@ class DecisionTree {
   int depth() const;
 
   // Total number of candidate-split aggregates evaluated during training
-  // (the "decision node" rows of Fig. 5 count one node's batch).
+  // (the "decision node" rows of Fig. 5 count one node's batch). A node
+  // that can split evaluates the whole batch: every candidate plus the
+  // always-true base candidate. Any other node evaluates the base
+  // candidate alone. A node can split when its depth is below max_depth
+  // and, below the root, the exact count its parent computed for it is at
+  // least min_node_count. Regression counts 3 aggregates per evaluated
+  // candidate (DecisionNodeBatchSize): 3 x (batch size) per node that can
+  // split plus 3 per node that cannot. Classification counts 1 (a
+  // per-class count map) per evaluated candidate.
   size_t aggregates_evaluated() const { return aggregates_evaluated_; }
 
  private:

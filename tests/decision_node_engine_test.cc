@@ -1,6 +1,12 @@
 // Tests for the shared decision-node batch engine against per-candidate
 // computation over the materialized join.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "baseline/materializer.h"
 #include "core/decision_node_engine.h"
@@ -118,6 +124,131 @@ TEST_P(DecisionNodeProperty, ClassCountsMatchMaterialized) {
 INSTANTIATE_TEST_SUITE_P(
     RandomDbs, DecisionNodeProperty,
     ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeedsSmall),
+                       ::testing::Values(Topology::kStar, Topology::kChain,
+                                         Topology::kBushy)));
+
+// --- Shared messages vs one batch per root --------------------------------
+//
+// The engine builds each join-tree edge's message once per batch and shares
+// it among every root that needs it. Splitting a batch into one sub-batch
+// per candidate-owning relation must give the same statistics, bit for bit.
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> SortedBits(
+    const FlatHashMap<double>& counts) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  counts.ForEach([&](uint64_t cls, double c) { out.push_back({cls, Bits(c)}); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// (node, attr) of db.features[f].
+std::pair<int, int> FeatureAt(const RandomDb& db, size_t f) {
+  const int node = db.query.IndexOf(db.features[f].relation);
+  return {node, db.query.relation(node)->schema().MustIndexOf(
+                    db.features[f].attr)};
+}
+
+enum class PathCase { kNone, kTwoRelations, kEmptyRelation };
+
+// Path filters on the relations of features 0 and 1. kEmptyRelation keeps
+// no row of feature 1's relation: every message it sends is empty, every
+// row probing one dangles, and the candidates it owns see no rows.
+FilterSet MakePath(const RandomDb& db, PathCase which) {
+  if (which == PathCase::kNone) return {};
+  FilterSet path(db.query.num_relations());
+  const auto [n0, a0] = FeatureAt(db, 0);
+  const auto [n1, a1] = FeatureAt(db, 1);
+  path[n0].push_back(Predicate::Lt(a0, 1.5));
+  if (which == PathCase::kTwoRelations) {
+    path[n1].push_back(Predicate::Ge(a1, -1.0));
+  } else {
+    path[n1].push_back(Predicate::Eq(0, 1 << 20));  // no such key
+  }
+  return path;
+}
+
+class DecisionNodeDifferential
+    : public ::testing::TestWithParam<std::tuple<uint64_t, Topology>> {};
+
+TEST_P(DecisionNodeDifferential, SharedMessagesMatchOneBatchPerRoot) {
+  auto [seed, topology] = GetParam();
+  RandomDb db = MakeRandomDb(seed, topology);
+  const auto [response_node, response_attr] =
+      FeatureAt(db, db.features.size() - 1);
+
+  // Candidates on every relation (each owns one feature), plus the
+  // always-true base candidate a tree node adds.
+  std::vector<SplitCandidate> mixed;
+  for (size_t f = 0; f < db.features.size(); ++f) {
+    const auto [node, attr] = FeatureAt(db, f);
+    mixed.push_back({node, Predicate::Ge(attr, -0.5)});
+    mixed.push_back({node, Predicate::Lt(attr, 0.5)});
+    mixed.push_back({node, Predicate::Ne(0, 1)});
+  }
+  mixed.push_back({response_node,
+                   Predicate::Ge(response_attr,
+                                 -std::numeric_limits<double>::infinity())});
+  std::map<int, std::vector<size_t>> by_root;
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    by_root[mixed[i].node].push_back(i);
+  }
+  ASSERT_EQ(static_cast<int>(by_root.size()), db.query.num_relations());
+
+  ExecPolicy partitioned;
+  partitioned.threads = 2;
+  partitioned.partition_grain = 16;
+  for (PathCase which : {PathCase::kNone, PathCase::kTwoRelations,
+                         PathCase::kEmptyRelation}) {
+    const FilterSet path = MakePath(db, which);
+    for (const ExecPolicy& policy : {ExecPolicy{}, partitioned}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "path case " << static_cast<int>(which) << " threads "
+                   << policy.threads);
+      std::vector<SplitStats> stats = ComputeSplitStats(
+          db.query, response_node, response_attr, path, mixed, policy);
+      std::vector<FlatHashMap<double>> counts =
+          ComputeSplitClassCounts(db.query, 0, 0, path, mixed, policy);
+      for (const auto& [root, owned] : by_root) {
+        std::vector<SplitCandidate> sub;
+        for (size_t i : owned) sub.push_back(mixed[i]);
+        std::vector<SplitStats> sub_stats = ComputeSplitStats(
+            db.query, response_node, response_attr, path, sub, policy);
+        std::vector<FlatHashMap<double>> sub_counts =
+            ComputeSplitClassCounts(db.query, 0, 0, path, sub, policy);
+        for (size_t k = 0; k < owned.size(); ++k) {
+          const SplitStats& want = sub_stats[k];
+          const SplitStats& got = stats[owned[k]];
+          EXPECT_EQ(Bits(got.count), Bits(want.count)) << "root " << root;
+          EXPECT_EQ(Bits(got.sum), Bits(want.sum)) << "root " << root;
+          EXPECT_EQ(Bits(got.sum_sq), Bits(want.sum_sq)) << "root " << root;
+          EXPECT_EQ(SortedBits(counts[owned[k]]), SortedBits(sub_counts[k]))
+              << "root " << root;
+        }
+      }
+      if (which == PathCase::kEmptyRelation) {
+        // One relation without rows empties the whole join.
+        for (size_t i = 0; i < mixed.size(); ++i) {
+          EXPECT_EQ(Bits(stats[i].count), Bits(0.0)) << i;
+          EXPECT_EQ(Bits(stats[i].sum), Bits(0.0)) << i;
+          EXPECT_EQ(counts[i].size(), 0u) << i;
+        }
+      } else {
+        // Non-vacuous: the base candidate sees rows.
+        EXPECT_GT(stats.back().count, 0);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomDbs, DecisionNodeDifferential,
+    ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeeds),
                        ::testing::Values(Topology::kStar, Topology::kChain,
                                          Topology::kBushy)));
 

@@ -220,7 +220,8 @@ TEST_P(ThreadSweepProperty, DecisionNodeBitIdenticalAcrossThreads) {
   RandomDb db = MakeRandomDb(seed, topology, kFactRows);
 
   // Candidates on every feature-owning relation: two thresholds each, so
-  // several roots exercise the outer (view-group) level.
+  // several roots share messages and the outer (view-group) level runs
+  // several scans at once.
   std::vector<SplitCandidate> candidates;
   for (size_t f = 0; f + 1 < db.features.size(); ++f) {
     int node = db.query.IndexOf(db.features[f].relation);
@@ -235,43 +236,58 @@ TEST_P(ThreadSweepProperty, DecisionNodeBitIdenticalAcrossThreads) {
                           ->schema()
                           .MustIndexOf(db.features.back().attr);
 
-  std::vector<SplitStats> want = ComputeSplitStats(
-      db.query, response_node, response_attr, {}, candidates, SweepPolicy(1));
-  for (int threads : kSweep) {
-    std::vector<SplitStats> got =
-        ComputeSplitStats(db.query, response_node, response_attr, {},
-                          candidates, SweepPolicy(threads));
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].count, want[i].count) << "threads=" << threads;
-      EXPECT_EQ(got[i].sum, want[i].sum) << "threads=" << threads;
-      EXPECT_EQ(got[i].sum_sq, want[i].sum_sq) << "threads=" << threads;
+  // Without path filters, and with filters on two relations (a tree node
+  // below the root).
+  FilterSet path(db.query.num_relations());
+  for (size_t f = 0; f < 2; ++f) {
+    int node = db.query.IndexOf(db.features[f].relation);
+    int attr = db.query.relation(node)->schema().MustIndexOf(
+        db.features[f].attr);
+    path[node].push_back(f == 0 ? Predicate::Lt(attr, 1.0)
+                                : Predicate::Ge(attr, -1.0));
+  }
+  for (const FilterSet& filters : {FilterSet{}, path}) {
+    SCOPED_TRACE(filters.empty() ? "no path filters" : "path filters");
+    std::vector<SplitStats> want =
+        ComputeSplitStats(db.query, response_node, response_attr, filters,
+                          candidates, SweepPolicy(1));
+    for (int threads : kSweep) {
+      std::vector<SplitStats> got =
+          ComputeSplitStats(db.query, response_node, response_attr, filters,
+                            candidates, SweepPolicy(threads));
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].count, want[i].count) << "threads=" << threads;
+        EXPECT_EQ(got[i].sum, want[i].sum) << "threads=" << threads;
+        EXPECT_EQ(got[i].sum_sq, want[i].sum_sq) << "threads=" << threads;
+      }
     }
-  }
-  // The legacy (policy-less) engine agrees.
-  std::vector<SplitStats> legacy = ComputeSplitStats(
-      db.query, response_node, response_attr, {}, candidates);
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_NEAR(want[i].count, legacy[i].count, 1e-9 * (1 + legacy[i].count));
-    EXPECT_NEAR(want[i].sum, legacy[i].sum,
-                1e-9 * (1 + std::abs(legacy[i].sum)));
-  }
+    // The legacy (policy-less) engine agrees.
+    std::vector<SplitStats> legacy = ComputeSplitStats(
+        db.query, response_node, response_attr, filters, candidates);
+    for (size_t i = 0; i < legacy.size(); ++i) {
+      EXPECT_NEAR(want[i].count, legacy[i].count,
+                  1e-9 * (1 + legacy[i].count));
+      EXPECT_NEAR(want[i].sum, legacy[i].sum,
+                  1e-9 * (1 + std::abs(legacy[i].sum)));
+    }
 
-  // Classification variant: categorical response (the fact's first key).
-  std::vector<FlatHashMap<double>> want_counts = ComputeSplitClassCounts(
-      db.query, 0, 0, {}, candidates, SweepPolicy(1));
-  for (int threads : kSweep) {
-    std::vector<FlatHashMap<double>> got_counts = ComputeSplitClassCounts(
-        db.query, 0, 0, {}, candidates, SweepPolicy(threads));
-    ASSERT_EQ(got_counts.size(), want_counts.size());
-    for (size_t i = 0; i < got_counts.size(); ++i) {
-      std::vector<std::pair<uint64_t, double>> got = Snapshot(got_counts[i]);
-      std::vector<std::pair<uint64_t, double>> want_s =
-          Snapshot(want_counts[i]);
-      ASSERT_EQ(got.size(), want_s.size());
-      for (size_t e = 0; e < got.size(); ++e) {
-        EXPECT_EQ(got[e].first, want_s[e].first);
-        EXPECT_EQ(got[e].second, want_s[e].second) << "threads=" << threads;
+    // Classification variant: categorical response (the fact's first key).
+    std::vector<FlatHashMap<double>> want_counts = ComputeSplitClassCounts(
+        db.query, 0, 0, filters, candidates, SweepPolicy(1));
+    for (int threads : kSweep) {
+      std::vector<FlatHashMap<double>> got_counts = ComputeSplitClassCounts(
+          db.query, 0, 0, filters, candidates, SweepPolicy(threads));
+      ASSERT_EQ(got_counts.size(), want_counts.size());
+      for (size_t i = 0; i < got_counts.size(); ++i) {
+        std::vector<std::pair<uint64_t, double>> got = Snapshot(got_counts[i]);
+        std::vector<std::pair<uint64_t, double>> want_s =
+            Snapshot(want_counts[i]);
+        ASSERT_EQ(got.size(), want_s.size());
+        for (size_t e = 0; e < got.size(); ++e) {
+          EXPECT_EQ(got[e].first, want_s[e].first);
+          EXPECT_EQ(got[e].second, want_s[e].second) << "threads=" << threads;
+        }
       }
     }
   }

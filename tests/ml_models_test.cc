@@ -1,6 +1,8 @@
 // Tests for decision trees, PCA, mutual information / Chow-Liu, FD
 // reparameterization, and model selection.
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "baseline/materializer.h"
 #include "core/covar_engine.h"
@@ -133,6 +135,159 @@ TEST(DecisionTreeTest, ClassificationOnSeparableData) {
     if (static_cast<int>(tree.Predict(row)) == f->Cat(r, 2)) ++correct;
   }
   EXPECT_GT(correct, 1350);
+}
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+// The no-branch condition DecisionTree::Train adds for a split predicate.
+Predicate Negated(const Predicate& p) {
+  Predicate n = p;
+  switch (p.op) {
+    case Predicate::Op::kGe:
+      n.op = Predicate::Op::kLt;
+      break;
+    case Predicate::Op::kLt:
+      n.op = Predicate::Op::kGe;
+      break;
+    case Predicate::Op::kEq:
+      n.op = Predicate::Op::kNe;
+      break;
+    case Predicate::Op::kNe:
+      n.op = Predicate::Op::kEq;
+      break;
+    case Predicate::Op::kInSet:
+      n.op = Predicate::Op::kNotInSet;
+      break;
+    case Predicate::Op::kNotInSet:
+      n.op = Predicate::Op::kInSet;
+      break;
+  }
+  return n;
+}
+
+// A node of a trained tree with the path filters that select its rows.
+struct PathNode {
+  int index;
+  FilterSet filters;
+  int depth;
+};
+
+// Calls fn(PathNode) for every node of `tree`.
+template <typename Fn>
+void ForEachPath(const DecisionTree& tree, const JoinQuery& query,
+                 const std::vector<TreeFeature>& features, Fn&& fn) {
+  std::vector<PathNode> stack{{0, FilterSet(query.num_relations()), 0}};
+  while (!stack.empty()) {
+    PathNode item = std::move(stack.back());
+    stack.pop_back();
+    fn(item);
+    const DecisionTree::Node& n = tree.node(item.index);
+    if (n.is_leaf) continue;
+    const int rel = query.IndexOf(features[n.feature].relation);
+    FilterSet yes = item.filters;
+    yes[rel].push_back(n.pred);
+    FilterSet no = item.filters;
+    no[rel].push_back(Negated(n.pred));
+    stack.push_back({n.yes_child, std::move(yes), item.depth + 1});
+    stack.push_back({n.no_child, std::move(no), item.depth + 1});
+  }
+}
+
+// Whether DecisionTree::Train evaluates the full candidate batch at a node:
+// below max_depth, the root always, any other node once its count reaches
+// min_node_count.
+bool EvaluatesFullBatch(const PathNode& p, double count,
+                        const DecisionTreeOptions& opts) {
+  return p.depth < opts.max_depth &&
+         (p.index == 0 || count >= opts.min_node_count);
+}
+
+TEST(DecisionTreeTest, NodeStatsMatchBaseCandidateAlone) {
+  TreeFixture fx;
+  BuildTreeDb(&fx);
+  std::vector<TreeFeature> features{
+      {"F", "x", false}, {"D", "z", false}, {"D", "g", true}};
+  DecisionTreeOptions opts;
+  opts.max_depth = 4;
+  opts.min_node_count = 300;
+  DecisionTree tree = DecisionTree::TrainRegression(
+      fx.query, FeatureRef{"F", "y"}, features, opts);
+
+  const int response_node = fx.query.IndexOf("F");
+  const int response_attr =
+      fx.query.relation(response_node)->schema().MustIndexOf("y");
+  const SplitCandidate base{
+      response_node,
+      Predicate::Ge(response_attr, -std::numeric_limits<double>::infinity())};
+  const size_t batch =
+      BuildSplitCandidates(fx.query, features, opts, nullptr).size() + 1;
+
+  size_t expected_aggregates = 0;
+  int stopped_by_depth = 0;
+  int stopped_by_count = 0;
+  ForEachPath(tree, fx.query, features, [&](const PathNode& p) {
+    const DecisionTree::Node& n = tree.node(p.index);
+    const SplitStats s = ComputeSplitStats(fx.query, response_node,
+                                           response_attr, p.filters, {base})[0];
+    EXPECT_EQ(Bits(n.count), Bits(s.count)) << "node " << p.index;
+    EXPECT_EQ(Bits(n.prediction), Bits(s.count > 0 ? s.sum / s.count : 0))
+        << "node " << p.index;
+    const bool full = EvaluatesFullBatch(p, n.count, opts);
+    expected_aggregates += DecisionNodeBatchSize(full ? batch : 1);
+    if (!full) ++(p.depth >= opts.max_depth ? stopped_by_depth
+                                            : stopped_by_count);
+  });
+  EXPECT_EQ(tree.aggregates_evaluated(), expected_aggregates);
+  // Both reasons a node cannot split occur.
+  EXPECT_GT(stopped_by_depth, 0);
+  EXPECT_GT(stopped_by_count, 0);
+}
+
+TEST(DecisionTreeTest, ClassificationNodeCountsMatchBaseCandidateAlone) {
+  TreeFixture fx;
+  BuildTreeDb(&fx);
+  std::vector<TreeFeature> features{{"F", "x", false}, {"F", "y", false}};
+  DecisionTreeOptions opts;
+  opts.max_depth = 3;
+  opts.min_node_count = 300;
+  DecisionTree tree = DecisionTree::TrainClassification(
+      fx.query, FeatureRef{"D", "g"}, features, opts);
+
+  const int response_node = fx.query.IndexOf("D");
+  const int response_attr =
+      fx.query.relation(response_node)->schema().MustIndexOf("g");
+  const SplitCandidate base{response_node, Predicate::Ne(response_attr, -1)};
+  const size_t batch =
+      BuildSplitCandidates(fx.query, features, opts, nullptr).size() + 1;
+
+  size_t expected_aggregates = 0;
+  int base_only = 0;
+  ForEachPath(tree, fx.query, features, [&](const PathNode& p) {
+    const DecisionTree::Node& n = tree.node(p.index);
+    const FlatHashMap<double> counts = ComputeSplitClassCounts(
+        fx.query, response_node, response_attr, p.filters, {base})[0];
+    double total = 0;
+    double majority = -1;
+    counts.ForEach([&](uint64_t, double c) {
+      total += c;
+      majority = std::max(majority, c);
+    });
+    EXPECT_EQ(Bits(n.count), Bits(total)) << "node " << p.index;
+    const double* predicted =
+        counts.Find(PackKey1(static_cast<int32_t>(n.prediction)));
+    ASSERT_NE(predicted, nullptr) << "node " << p.index;
+    EXPECT_EQ(*predicted, majority) << "node " << p.index;
+    const bool full = EvaluatesFullBatch(p, n.count, opts);
+    // One aggregate (a per-class count map) per candidate.
+    expected_aggregates += full ? batch : 1;
+    if (!full) ++base_only;
+  });
+  EXPECT_EQ(tree.aggregates_evaluated(), expected_aggregates);
+  EXPECT_GT(base_only, 0);
 }
 
 // --- PCA ---
