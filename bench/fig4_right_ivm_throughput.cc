@@ -351,58 +351,47 @@ void Run(bool epoch_sweep) {
   // --- Epoch-size sweep (--epoch-rows-sweep) -----------------------------
   // Small epochs minimize seal->applied latency but commit and propagate
   // often; large epochs coalesce more rows per delta and give the
-  // committer more to overlap. Each size runs with the speculative compute
-  // stage ON and OFF, so the trajectory records what multi-epoch delta
-  // pipelining buys (or costs) at every point of the tradeoff curve,
-  // including the per-mode epoch-latency distribution and how far the
-  // compute stage actually ran ahead.
+  // committer more to overlap. The trajectory records throughput, the
+  // epoch-latency distribution and how far the speculative compute stage
+  // ran ahead at every point of the tradeoff curve.
   if (epoch_sweep && !fivm.timed_out) {
-    std::printf("\nEpoch-size sweep (F-IVM async, epoch_rows x batch size, "
-                "compute overlap on/off):\n");
+    std::printf("\nEpoch-size sweep (F-IVM async, epoch_rows x batch "
+                "size):\n");
     for (size_t mult : {1, 2, 8, 32}) {
-      StreamOptions sweep_options;
-      sweep_options.epoch_rows = mult * stream_opts.batch_size;
-      for (const bool overlap : {true, false}) {
-        StreamOptions mode = sweep_options;
-        mode.overlap_compute = overlap;
-        // mult == 8 with overlap on is exactly the headline async
-        // configuration above — reuse its measurement instead of
-        // re-driving the whole stream.
-        AsyncResult swept =
-            overlap && mode.epoch_rows == stream_options.epoch_rows
-                ? fivm_async
-                : DriveAsync<CovarFivm>(ds, stream, budget, policy, mode);
-        std::string suffix =
-            "/epoch_rows=" + std::to_string(mode.epoch_rows);
-        if (!overlap) suffix += "/overlap=off";
-        std::printf(
-            "  epoch_rows=%-6zu overlap=%-3s %11.0f tuples/s  (%zu epochs, "
-            "latency mean %.2f ms / max %.2f ms, compute lead <=%zu "
-            "epochs)%s\n",
-            mode.epoch_rows, overlap ? "on" : "off", swept.tuples_per_sec(),
-            swept.stats.epochs, swept.stats.epoch_latency_mean_seconds * 1e3,
-            swept.stats.epoch_latency_max_seconds * 1e3,
-            swept.stats.compute_overlap_epochs_max,
-            swept.timed_out ? " [budget hit]" : "");
-        bench::Report("fivm_async_tuples_per_sec" + suffix,
-                      swept.tuples_per_sec(), "tuples/s", policy.threads);
-        bench::Report("fivm_async_epoch_latency_mean_ms" + suffix,
-                      swept.stats.epoch_latency_mean_seconds * 1e3, "ms",
+      StreamOptions mode;
+      mode.epoch_rows = mult * stream_opts.batch_size;
+      // mult == 8 is exactly the headline async configuration above —
+      // reuse its measurement instead of re-driving the whole stream.
+      AsyncResult swept =
+          mode.epoch_rows == stream_options.epoch_rows
+              ? fivm_async
+              : DriveAsync<CovarFivm>(ds, stream, budget, policy, mode);
+      const std::string suffix =
+          "/epoch_rows=" + std::to_string(mode.epoch_rows);
+      std::printf(
+          "  epoch_rows=%-6zu %11.0f tuples/s  (%zu epochs, latency mean "
+          "%.2f ms / max %.2f ms, compute lead <=%zu epochs)%s\n",
+          mode.epoch_rows, swept.tuples_per_sec(), swept.stats.epochs,
+          swept.stats.epoch_latency_mean_seconds * 1e3,
+          swept.stats.epoch_latency_max_seconds * 1e3,
+          swept.stats.compute_overlap_epochs_max,
+          swept.timed_out ? " [budget hit]" : "");
+      bench::Report("fivm_async_tuples_per_sec" + suffix,
+                    swept.tuples_per_sec(), "tuples/s", policy.threads);
+      bench::Report("fivm_async_epoch_latency_mean_ms" + suffix,
+                    swept.stats.epoch_latency_mean_seconds * 1e3, "ms",
+                    policy.threads);
+      bench::Report("fivm_async_epoch_latency_max_ms" + suffix,
+                    swept.stats.epoch_latency_max_seconds * 1e3, "ms",
+                    policy.threads);
+      bench::Report(
+          "fivm_async_compute_overlap_epochs_max" + suffix,
+          static_cast<double>(swept.stats.compute_overlap_epochs_max),
+          "epochs", policy.threads);
+      if (!swept.timed_out) {
+        bench::Report("fivm_async_over_serial" + suffix,
+                      swept.tuples_per_sec() / fivm.tuples_per_sec(), "x",
                       policy.threads);
-        bench::Report("fivm_async_epoch_latency_max_ms" + suffix,
-                      swept.stats.epoch_latency_max_seconds * 1e3, "ms",
-                      policy.threads);
-        if (overlap) {
-          bench::Report(
-              "fivm_async_compute_overlap_epochs_max" + suffix,
-              static_cast<double>(swept.stats.compute_overlap_epochs_max),
-              "epochs", policy.threads);
-        }
-        if (!swept.timed_out) {
-          bench::Report("fivm_async_over_serial" + suffix,
-                        swept.tuples_per_sec() / fivm.tuples_per_sec(), "x",
-                        policy.threads);
-        }
       }
     }
   }

@@ -9,10 +9,6 @@ namespace obs {
 
 namespace trace_internal {
 
-thread_local ThreadLog* g_thread_log = nullptr;
-thread_local TraceRecorder* g_thread_recorder = nullptr;
-thread_local ThreadLogCache g_log_cache;
-
 namespace {
 uint32_t RoundUpPow2(uint32_t v) {
   uint32_t p = 1;

@@ -127,9 +127,14 @@ class TraceRecorder {
 };
 
 namespace trace_internal {
+// The thread-locals below are inline with constant initializers, so every
+// translation unit reads them directly instead of through the TLS wrapper
+// call an `extern thread_local` needs (which UBSan's null check misreads
+// as a store through a null pointer).
+//
 // The current thread's log, set by ThreadTraceScope. Null => tracing off.
-extern thread_local ThreadLog* g_thread_log;
-extern thread_local TraceRecorder* g_thread_recorder;
+inline thread_local ThreadLog* g_thread_log = nullptr;
+inline thread_local TraceRecorder* g_thread_recorder = nullptr;
 // Per-thread registration cache: a thread that repeatedly opens scopes on
 // the SAME recorder (serve threads open one per read transaction) reuses
 // its ring instead of registering a new one each time. Keyed by recorder id
@@ -139,7 +144,7 @@ struct ThreadLogCache {
   uint64_t recorder_id = 0;  // 0 = empty (ids start at 1)
   ThreadLog* log = nullptr;
 };
-extern thread_local ThreadLogCache g_log_cache;
+inline thread_local ThreadLogCache g_log_cache;
 }  // namespace trace_internal
 
 // Installs `recorder` as the current thread's trace sink for the scope's

@@ -3,6 +3,14 @@
 // (shard/sharded_stream_scheduler.h), returning the same answers a
 // SnapshotServer over the equivalent unsharded pipeline would.
 //
+// N x UNSHARDED. The server owns one SnapshotServer per shard: each
+// publishes, pins (or copies) and retains its shard's snapshot entries
+// exactly as it would over an unsharded pipeline, and its serve
+// instruments land in the shard's registry, so the fleet's MetricsText
+// carries one relborg_serve_* family. This class adds only the merge: a
+// consistent cut over the per-shard entries, and the fold of the per-shard
+// answers.
+//
 // THE MERGED-HORIZON PROBLEM. Each shard seals and maintains its own
 // epochs at its own pace, so "the newest snapshot of every shard" is NOT a
 // consistent cut of the source stream: shard 0 may have applied source
@@ -19,12 +27,13 @@
 // batch interval [g_lo, g_hi) over which that shard state is current
 // (ShardedStreamScheduler::DeliveryInterval). BeginMergedSnapshot takes
 // b* = min over shards of the newest entry's interval end, then picks from
-// each shard's ring of recent entries the one whose interval contains b*.
-// Retained rings make the race window small; if some shard has already
-// discarded every entry covering b* the begin fails kUnavailable and the
-// caller retries — reads can degrade to failure, never to an inconsistent
-// merge. A quiescent pipeline (after Finish, or paused) always succeeds:
-// every newest interval is open-ended, so b* falls in all of them.
+// each shard's retained entries the one whose interval contains b*.
+// Retaining several entries per shard makes the race window small; if
+// some shard has already discarded every entry covering b* the begin fails
+// kUnavailable and the caller retries — reads can degrade to failure,
+// never to an inconsistent merge. A quiescent pipeline (after Finish, or
+// paused) always succeeds: every newest interval is open-ended, so b*
+// falls in all of them.
 //
 // The merge itself is the ring fold in ascending shard order (key-wise
 // CovarSpanAdd semantics — see shard/shard_map.h for why the join
@@ -33,18 +42,11 @@
 // exactly representable (integer-valued features; the differential suite
 // in tests/shard_test.cc pins this).
 //
-// Zero-copy strategies (CovarFivm's ServePin) serve pinned view bytes
-// under each shard's view-gate read lock; copy-based strategies serve the
-// payload copied at the shard's epoch boundary. Same entry machinery as
-// serve/snapshot_server.h (serve_internal::Entry).
-//
 // RESUMED RUNS. While a Resume() replay is still inside some shard's
 // restored prefix, that shard's snapshots cover deliveries the global log
 // has not re-routed yet, so interval lookups fail and merged begins return
 // kUnavailable; once the replay catches up past every restored prefix,
-// merged reads succeed again. Likewise a quarantined (rejected) delivery
-// permanently shifts its shard's delivered-row counts off the unsharded
-// stream — later begins keep failing rather than serving a wrong merge.
+// merged reads succeed again.
 //
 // LIFECYCLE mirrors SnapshotServer: construct AFTER the sharded scheduler
 // and BEFORE its first Push (initial empty/restored snapshots must not
@@ -53,35 +55,31 @@
 #ifndef RELBORG_SERVE_SHARDED_SNAPSHOT_SERVER_H_
 #define RELBORG_SERVE_SHARDED_SNAPSHOT_SERVER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ml/linear_regression.h"
-#include "obs/metrics.h"
 #include "ring/covariance.h"
 #include "serve/snapshot_server.h"
 #include "shard/sharded_stream_scheduler.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace relborg {
 
 /// Sharded serving configuration.
 struct ShardedServeOptions {
-  /// Per-shard staleness bound, as in ServeOptions (clamped to >= 1).
-  size_t snapshot_every_epochs = 1;
-  /// Published entries retained per shard for merged-cut selection. Larger
-  /// rings tolerate more shard-progress skew between begins; 0 clamps to 1
-  /// (newest only — begins then require near-lockstep shards).
-  size_t retained_entries = 8;
+  /// Each shard server's options. Retaining 8 entries per shard lets a
+  /// merged begin find a cut while shards run apart; 1 (newest only)
+  /// requires near-lockstep shards.
+  ServeOptions shard = {/*snapshot_every_epochs=*/1, /*retained_entries=*/8};
   /// Attempts per BeginMergedSnapshot before giving up with kUnavailable
-  /// (each attempt re-reads every shard's newest entries).
+  /// (each attempt re-reads every shard's retained entries; clamped to
+  /// >= 1).
   size_t begin_attempts = 16;
 };
 
@@ -93,8 +91,7 @@ struct ShardedServeOptions {
 /// owner thread.
 template <typename Strategy>
 class ShardedSnapshotServer {
-  static constexpr bool kPinned =
-      serve_internal::HasServePin<Strategy>::value;
+  using Server = SnapshotServer<Strategy>;
   using Entry = serve_internal::Entry<Strategy>;
 
  public:
@@ -106,8 +103,8 @@ class ShardedSnapshotServer {
     /// The global cut: source batches covered by every read through this
     /// transaction.
     uint64_t global_batches() const { return global_batches_; }
-    /// Shard s's epoch horizon at the cut (epochs this server observed —
-    /// a resumed shard's restored prefix counts as horizon 0).
+    /// Shard s's epoch horizon at the cut (epochs its server observed — a
+    /// resumed shard's restored prefix counts as horizon 0).
     uint64_t shard_horizon(int s) const { return entries_[s]->horizon; }
     bool open() const { return !entries_.empty(); }
 
@@ -117,52 +114,17 @@ class ShardedSnapshotServer {
     uint64_t global_batches_ = 0;
   };
 
-  /// Registers an epoch observer on every shard pipeline and publishes
-  /// each shard's initial snapshot (the empty database — or the restored
-  /// watermark when the scheduler was Resume()d). Must run after the
-  /// scheduler's construction and before its first Push.
+  /// Builds one SnapshotServer per shard pipeline (each registers its
+  /// shard's epoch observer and publishes its initial snapshot). Must run
+  /// after the scheduler's construction and before its first Push.
   ShardedSnapshotServer(ShardedStreamScheduler<Strategy>* sched,
                         const ShardedServeOptions& options = {})
-      : sched_(sched), options_(options) {
-    if (options_.snapshot_every_epochs == 0) options_.snapshot_every_epochs = 1;
-    if (options_.retained_entries == 0) options_.retained_entries = 1;
-    if (options_.begin_attempts == 0) options_.begin_attempts = 1;
-    const int num_nodes = sched_->shadow(0).tree().num_nodes();
-    root_mask_.assign(num_nodes, 0);
-    root_mask_[sched_->shadow(0).tree().root()] = 1;
-    read_latency_ = registry_.GetHistogram(
-        "relborg_sharded_serve_read_latency_seconds",
-        "Per-query merged serve read latency (gate waits included)");
-    transactions_ = registry_.GetCounter(
-        "relborg_sharded_serve_transactions_total",
-        "Merged read transactions opened");
-    failed_begins_ = registry_.GetCounter(
-        "relborg_sharded_serve_begin_failures_total",
-        "Merged begins that found no consistent cut");
-    reads_ = registry_.GetCounter("relborg_sharded_serve_reads_total",
-                                  "Merged snapshot reads served");
-    snapshots_ = registry_.GetCounter(
-        "relborg_sharded_serve_snapshots_published_total",
-        "Per-shard snapshot entries published (initial ones included)");
-    rings_.resize(static_cast<size_t>(sched_->num_shards()));
-    observers_.reserve(rings_.size());
+      : sched_(sched),
+        begin_attempts_(std::max<size_t>(1, options.begin_attempts)) {
     for (int s = 0; s < sched_->num_shards(); ++s) {
-      // Initial entry: whatever the shard starts from (empty, or the
-      // restored checkpoint state on a resumed run).
-      std::vector<size_t> wm(static_cast<size_t>(num_nodes), 0);
-      for (int v = 0; v < num_nodes; ++v) {
-        wm[static_cast<size_t>(v)] = sched_->shadow(s).committed_rows(v);
-      }
-      Publish(s, 0, std::move(wm));
-      observers_.push_back(std::make_unique<ShardObserver>(this, s));
-      sched_->scheduler(s)->SetEpochObserver(observers_.back().get());
-    }
-  }
-
-  ~ShardedSnapshotServer() {
-    // Synchronizes with any in-flight epoch callback per shard.
-    for (int s = 0; s < sched_->num_shards(); ++s) {
-      sched_->scheduler(s)->SetEpochObserver(nullptr);
+      servers_.push_back(std::make_unique<Server>(
+          sched_->scheduler(s), &sched_->shadow(s), sched_->strategy(s),
+          options.shard));
     }
   }
 
@@ -172,55 +134,50 @@ class ShardedSnapshotServer {
   /// Opens a merged transaction on the newest consistent cut (see the file
   /// comment). kUnavailable when no retained entry combination forms one
   /// after `begin_attempts` tries — transient while shards race far apart
-  /// or a Resume() replay is still inside a restored prefix; permanent
-  /// after a quarantined delivery. Never blocks on the pipelines.
+  /// or a Resume() replay is still inside a restored prefix. Never blocks
+  /// on the pipelines.
   Status BeginMergedSnapshot(MergedReadTxn* out) {
-    transactions_->Inc();
-    const int shards = sched_->num_shards();
-    for (size_t attempt = 0; attempt < options_.begin_attempts; ++attempt) {
-      // Snapshot every shard's retained ring (newest last), then work
-      // lock-free on the shared_ptr copies.
-      std::vector<std::vector<std::shared_ptr<const Entry>>> rings(
-          static_cast<size_t>(shards));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (int s = 0; s < shards; ++s) {
-          const auto& ring = rings_[static_cast<size_t>(s)];
-          rings[static_cast<size_t>(s)].assign(ring.begin(), ring.end());
-        }
+    const size_t shards = servers_.size();
+    for (size_t attempt = 0; attempt < begin_attempts_; ++attempt) {
+      std::vector<std::vector<std::shared_ptr<const Entry>>> retained(shards);
+      for (size_t s = 0; s < shards; ++s) {
+        retained[s] = servers_[s]->Retained();
       }
       // The cut candidate: every shard's newest entry covers [lo, hi);
       // b* = min over shards of (hi - 1), open-ended intervals capped at
       // the current global batch count.
       uint64_t cut = sched_->global_batches();
       bool newest_ok = true;
-      for (int s = 0; s < shards && newest_ok; ++s) {
+      for (size_t s = 0; s < shards && newest_ok; ++s) {
         uint64_t lo = 0, hi = 0;
-        newest_ok = Interval(s, *rings[s].back(), &lo, &hi);
+        newest_ok = Interval(s, *retained[s].back(), &lo, &hi);
         if (newest_ok && hi != UINT64_MAX && hi - 1 < cut) cut = hi - 1;
       }
       if (!newest_ok) continue;  // a shard mid-replay or mid-delivery
       MergedReadTxn txn;
-      txn.entries_.resize(static_cast<size_t>(shards));
+      txn.entries_.resize(shards);
       txn.global_batches_ = cut;
       bool all = true;
-      for (int s = 0; s < shards && all; ++s) {
+      for (size_t s = 0; s < shards && all; ++s) {
         all = false;
-        for (auto it = rings[s].rbegin(); it != rings[s].rend(); ++it) {
+        for (auto it = retained[s].rbegin(); it != retained[s].rend(); ++it) {
           uint64_t lo = 0, hi = 0;
           if (Interval(s, **it, &lo, &hi) && lo <= cut && cut < hi) {
-            txn.entries_[static_cast<size_t>(s)] = *it;
+            txn.entries_[s] = *it;
             all = true;
             break;
           }
         }
       }
       if (all) {
+        // Each shard server counts its part of the merged transaction.
+        for (const std::unique_ptr<Server>& server : servers_) {
+          server->transactions_->Inc();
+        }
         *out = std::move(txn);
         return Status::Ok();
       }
     }
-    failed_begins_->Inc();
     return Status::Unavailable(
         "no consistent merged cut across shard snapshots");
   }
@@ -232,34 +189,16 @@ class ShardedSnapshotServer {
   }
 
   /// The merged covariance aggregate at the transaction's cut: per-shard
-  /// snapshots ring-added in ascending shard order.
+  /// snapshot reads ring-added in ascending shard order.
   CovarMatrix Covar(const MergedReadTxn& txn) const {
     RELBORG_DCHECK(txn.open());
-    WallTimer timer;
-    reads_->Inc();
-    CovarPayload acc;
-    int n = 0;
-    for (int s = 0; s < sched_->num_shards(); ++s) {
-      const Entry& entry = *txn.entries_[static_cast<size_t>(s)];
-      if constexpr (kPinned) {
-        StreamScheduler<Strategy>* shard = sched_->scheduler(s);
-        shard->BeginViewRead(root_mask_);
-        CovarMatrix m = sched_->strategy(s)->CovarAt(entry.pin);
-        shard->EndViewRead(root_mask_);
-        if (s == 0) {
-          n = m.num_features();
-          acc = CovarPayload::Zero(n);
-        }
-        CovarAddInPlace(&acc, m.payload());
-      } else {
-        if (s == 0) {
-          n = entry.num_features;
-          acc = CovarPayload::Zero(n);
-        }
-        CovarAddInPlace(&acc, entry.covar);
-      }
+    CovarMatrix first = servers_[0]->CovarOf(*txn.entries_[0]);
+    const int n = first.num_features();
+    CovarPayload acc = CovarPayload::Zero(n);
+    CovarAddInPlace(&acc, first.payload());
+    for (size_t s = 1; s < servers_.size(); ++s) {
+      CovarAddInPlace(&acc, servers_[s]->CovarOf(*txn.entries_[s]).payload());
     }
-    read_latency_->Observe(timer.Seconds());
     return CovarMatrix(n, acc);
   }
 
@@ -273,125 +212,60 @@ class ShardedSnapshotServer {
   /// SnapshotServer::GroupBy.
   std::vector<std::pair<uint64_t, double>> GroupBy(const MergedReadTxn& txn,
                                                    int v) const {
-    static_assert(kPinned,
+    static_assert(serve_internal::HasServePin<Strategy>::value,
                   "GroupBy requires a strategy with the ServePin protocol "
                   "(CovarFivm); copy-based snapshots keep no view state");
     RELBORG_DCHECK(txn.open());
-    WallTimer timer;
-    reads_->Inc();
-    std::vector<uint8_t> mask(root_mask_.size(), 0);
-    mask[static_cast<size_t>(v)] = 1;
-    const int shards =
-        v == sched_->shadow(0).tree().root() ? sched_->num_shards() : 1;
+    if (v != sched_->shadow(0).tree().root()) {
+      return servers_[0]->GroupByOf(*txn.entries_[0], v);
+    }
     std::map<uint64_t, double> merged;
-    for (int s = 0; s < shards; ++s) {
-      StreamScheduler<Strategy>* shard = sched_->scheduler(s);
-      shard->BeginViewRead(mask);
-      auto part = sched_->strategy(s)->GroupByAt(
-          v, txn.entries_[static_cast<size_t>(s)]->pin);
-      shard->EndViewRead(mask);
-      for (const std::pair<uint64_t, double>& kv : part) {
-        merged[kv.first] += kv.second;
+    for (size_t s = 0; s < servers_.size(); ++s) {
+      for (const auto& [key, count] :
+           servers_[s]->GroupByOf(*txn.entries_[s], v)) {
+        merged[key] += count;
       }
     }
-    read_latency_->Observe(timer.Seconds());
     return std::vector<std::pair<uint64_t, double>>(merged.begin(),
                                                     merged.end());
   }
 
   /// Trains the ridge model for `response` on the merged covariance at the
-  /// cut, warm-starting from the last weights for that response (shared
-  /// cache, as in SnapshotServer::TrainModel).
+  /// cut, warm-starting from the last weights for that response (shard 0's
+  /// server holds the fleet's warm-start cache).
   LinearModel TrainModel(const MergedReadTxn& txn, int response,
                          RidgeOptions options = {},
                          TrainInfo* info = nullptr) {
-    CovarMatrix m = Covar(txn);
-    {
-      std::lock_guard<std::mutex> lock(model_mu_);
-      auto it = warm_.find(response);
-      if (it != warm_.end()) options.warm_start = it->second;
-    }
-    LinearModel model = TrainRidgeGd(m, response, options, {}, info);
-    {
-      std::lock_guard<std::mutex> lock(model_mu_);
-      warm_[response] = model.weights;
-    }
-    return model;
+    return servers_[0]->Train(Covar(txn), response, options, info);
   }
 
   /// Per-shard snapshot entries published so far (initial ones included).
   size_t published_snapshots() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return published_;
+    size_t total = 0;
+    for (const std::unique_ptr<Server>& server : servers_) {
+      total += server->published_snapshots();
+    }
+    return total;
   }
 
-  /// One exposition across the whole sharded deployment: the scheduler's
-  /// merged pipeline instruments (aggregate + per-shard series) followed
-  /// by this server's merged-serve instruments.
-  std::string MetricsText() const {
-    return sched_->MetricsText() + registry_.ExpositionText();
-  }
-
-  /// The merged-serve registry itself (e.g. quantile queries on
-  /// relborg_sharded_serve_read_latency_seconds).
-  const obs::MetricsRegistry& metrics() const { return registry_; }
+  /// The fleet's exposition: pipeline and serve instruments, aggregate
+  /// plus per-shard series (ShardedStreamScheduler::MetricsText).
+  std::string MetricsText() const { return sched_->MetricsText(); }
 
  private:
-  // Per-shard epoch-boundary hook: runs on that shard's APPLIER thread
-  // between epochs, the one point where pinning/copying strategy state
-  // cannot race a fold.
-  struct ShardObserver : StreamEpochObserver {
-    ShardObserver(ShardedSnapshotServer* owner, int shard)
-        : owner(owner), shard(shard) {}
-    void OnEpochMaintained(uint64_t id,
-                           const std::vector<size_t>& watermark) override {
-      if ((id + 1) % owner->options_.snapshot_every_epochs != 0) return;
-      owner->Publish(shard, id + 1, watermark);
-    }
-    ShardedSnapshotServer* owner;
-    int shard;
-  };
-
-  void Publish(int shard, uint64_t horizon, std::vector<size_t> watermark) {
-    auto entry = std::make_shared<const Entry>(horizon, std::move(watermark),
-                                               sched_->strategy(shard));
-    snapshots_->Inc();
-    std::lock_guard<std::mutex> lock(mu_);
-    std::deque<std::shared_ptr<const Entry>>& ring =
-        rings_[static_cast<size_t>(shard)];
-    ring.push_back(std::move(entry));
-    while (ring.size() > options_.retained_entries) ring.pop_front();
-    ++published_;
-  }
-
   // The global batch interval [*lo, *hi) over which `entry`'s shard state
   // is current — false while the delivery log has not (re-)routed the
-  // entry's applied prefix (Resume replay) or after a quarantined delivery
-  // shifted the shard's row counts.
-  bool Interval(int shard, const Entry& entry, uint64_t* lo,
+  // entry's applied prefix (Resume replay).
+  bool Interval(size_t shard, const Entry& entry, uint64_t* lo,
                 uint64_t* hi) const {
     size_t applied = 0;
     for (size_t rows : entry.watermark) applied += rows;
-    return sched_->DeliveryInterval(shard, applied, lo, hi);
+    return sched_->DeliveryInterval(static_cast<int>(shard), applied, lo, hi);
   }
 
   ShardedStreamScheduler<Strategy>* sched_;
-  ShardedServeOptions options_;
-  std::vector<uint8_t> root_mask_;  // view-gate mask: the root view only
-  std::vector<std::unique_ptr<ShardObserver>> observers_;
-  mutable std::mutex mu_;  // guards rings_ + published_
-  std::vector<std::deque<std::shared_ptr<const Entry>>> rings_;
-  size_t published_ = 0;
-  std::mutex model_mu_;                      // guards warm_
-  std::map<int, std::vector<double>> warm_;  // response -> last weights
-  // Merged-serve instruments (own registry; the shard pipelines keep
-  // theirs). Written from const read paths — the instruments are atomic.
-  obs::MetricsRegistry registry_;
-  mutable obs::Histogram* read_latency_ = nullptr;
-  obs::Counter* transactions_ = nullptr;
-  obs::Counter* failed_begins_ = nullptr;
-  mutable obs::Counter* reads_ = nullptr;
-  obs::Counter* snapshots_ = nullptr;
+  size_t begin_attempts_;
+  std::vector<std::unique_ptr<Server>> servers_;  // one per shard
 };
 
 }  // namespace relborg

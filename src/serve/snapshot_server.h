@@ -30,9 +30,12 @@
 //     copy-based strategies (HigherOrderIvm, FirstOrderIvm) the entry
 //     copies Current() at the boundary — ~n(n+1)/2 doubles.
 //   * BeginSnapshot is non-blocking: it refcounts the newest published
-//     entry (one mutex acquisition, no gates). Entries unpin when the last
-//     transaction holding them closes AND a newer entry has superseded
-//     them, in any order across threads (the CovarArenaView pin table).
+//     entry (one mutex acquisition, no gates). The server retains its
+//     newest ServeOptions::retained_entries entries (1 by default; the
+//     sharded server's per-shard servers keep more to find merged cuts).
+//     Entries unpin when the last transaction holding them closes AND they
+//     have left the retained window, in any order across threads (the
+//     CovarArenaView pin table).
 //   * Pinned-path queries take the scheduler's ViewGate READ lock on just
 //     the views they touch (a concurrent fold can rehash a view's hash map
 //     and move its arena buffer; COW preserves payload bytes, not
@@ -41,7 +44,8 @@
 //     is untouched), the compute stage (reader/reader), or other clients.
 //
 // LIFECYCLE. Construct the server AFTER the scheduler but BEFORE the first
-// Push (the constructor pins the initial empty-database snapshot, which
+// Push (the constructor pins the initial snapshot at the database's
+// committed rows — empty, or a resumed scheduler's restored prefix — which
 // must not race a fold). Destroy it before the scheduler; the destructor
 // unregisters the observer and synchronizes with any in-flight epoch
 // callback. Transactions still open at destruction keep their snapshot
@@ -51,7 +55,9 @@
 #ifndef RELBORG_SERVE_SNAPSHOT_SERVER_H_
 #define RELBORG_SERVE_SNAPSHOT_SERVER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -77,6 +83,11 @@ struct ServeOptions {
   /// a transaction's horizon then lags the maintained prefix by at most
   /// K - 1 epochs. Clamped to >= 1.
   size_t snapshot_every_epochs = 1;
+  /// Published entries retained, newest last. BeginSnapshot serves only
+  /// the newest, so 1 keeps no history; a sharded server's per-shard
+  /// servers retain more so a merged begin can find a cut while shards run
+  /// apart (ShardedServeOptions). Clamped to >= 1.
+  size_t retained_entries = 1;
 };
 
 namespace serve_internal {
@@ -123,6 +134,9 @@ struct Entry<Strategy, true> {
 
 }  // namespace serve_internal
 
+template <typename Strategy>
+class ShardedSnapshotServer;
+
 /// Read front end over a live StreamScheduler<Strategy> (see the file
 /// comment for the protocol and lifecycle).
 ///
@@ -156,19 +170,19 @@ class SnapshotServer : public StreamEpochObserver {
     std::shared_ptr<const Entry> entry_;
   };
 
-  /// Registers the epoch observer and publishes the initial (empty-
-  /// database, horizon 0) snapshot. Must run after the scheduler's
-  /// construction and before its first Push.
+  /// Registers the epoch observer and publishes the initial (horizon 0)
+  /// snapshot at `db`'s committed rows: the empty database, or the
+  /// restored prefix of a resumed scheduler. Must run after the
+  /// scheduler's construction and before its first Push.
   SnapshotServer(StreamScheduler<Strategy>* scheduler, const ShadowDb* db,
                  Strategy* strategy, const ServeOptions& options = {})
       : scheduler_(scheduler),
-        db_(db),
         strategy_(strategy),
         options_(options),
         root_mask_(db->tree().num_nodes(), 0) {
-    if (options_.snapshot_every_epochs == 0) {
-      options_.snapshot_every_epochs = 1;
-    }
+    options_.snapshot_every_epochs =
+        std::max<size_t>(1, options_.snapshot_every_epochs);
+    options_.retained_entries = std::max<size_t>(1, options_.retained_entries);
     root_mask_[db->tree().root()] = 1;
     // Serve instruments live in the SCHEDULER's registry, so one
     // MetricsText() exposes the whole pipeline + serving surface.
@@ -185,7 +199,11 @@ class SnapshotServer : public StreamEpochObserver {
                                 "included)");
     models_ = reg.GetCounter("relborg_serve_models_trained_total",
                              "Ridge models trained over snapshots");
-    Publish(0, std::vector<size_t>(db->tree().num_nodes(), 0));
+    std::vector<size_t> watermark(root_mask_.size());
+    for (size_t v = 0; v < watermark.size(); ++v) {
+      watermark[v] = db->committed_rows(static_cast<int>(v));
+    }
+    Publish(0, std::move(watermark));
     scheduler_->SetEpochObserver(this);
   }
 
@@ -202,7 +220,7 @@ class SnapshotServer : public StreamEpochObserver {
   ReadTxn BeginSnapshot() {
     transactions_->Inc();
     std::lock_guard<std::mutex> lock(mu_);
-    return ReadTxn(current_);
+    return ReadTxn(entries_.back());
   }
 
   /// Closes a transaction. Dropping the last hold on a superseded
@@ -215,19 +233,7 @@ class SnapshotServer : public StreamEpochObserver {
     obs::ThreadTraceScope trace_scope(scheduler_->trace(), "serve");
     obs::TraceSpan span("serve/covar", "serve",
                         static_cast<int64_t>(txn.horizon_epochs()));
-    WallTimer timer;
-    reads_->Inc();
-    if constexpr (kPinned) {
-      scheduler_->BeginViewRead(root_mask_);
-      CovarMatrix m = strategy_->CovarAt(txn.entry_->pin);
-      scheduler_->EndViewRead(root_mask_);
-      read_latency_->Observe(timer.Seconds());
-      return m;
-    } else {
-      CovarMatrix m(txn.entry_->num_features, txn.entry_->covar);
-      read_latency_->Observe(timer.Seconds());
-      return m;
-    }
+    return CovarOf(*txn.entry_);
   }
 
   /// Group-by results at the horizon: node `v`'s view keys with their
@@ -242,15 +248,7 @@ class SnapshotServer : public StreamEpochObserver {
     obs::ThreadTraceScope trace_scope(scheduler_->trace(), "serve");
     obs::TraceSpan span("serve/group-by", "serve",
                         static_cast<int64_t>(txn.horizon_epochs()), v);
-    WallTimer timer;
-    reads_->Inc();
-    std::vector<uint8_t> mask(root_mask_.size(), 0);
-    mask[v] = 1;
-    scheduler_->BeginViewRead(mask);
-    auto out = strategy_->GroupByAt(v, txn.entry_->pin);
-    scheduler_->EndViewRead(mask);
-    read_latency_->Observe(timer.Seconds());
-    return out;
+    return GroupByOf(*txn.entry_, v);
   }
 
   /// Trains (or warm-start-refreshes) the ridge model for `response` on
@@ -260,25 +258,13 @@ class SnapshotServer : public StreamEpochObserver {
   LinearModel TrainModel(const ReadTxn& txn, int response,
                          RidgeOptions options = {},
                          TrainInfo* info = nullptr) {
-    CovarMatrix m = Covar(txn);
-    {
-      std::lock_guard<std::mutex> lock(model_mu_);
-      auto it = warm_.find(response);
-      if (it != warm_.end()) options.warm_start = it->second;
-    }
-    LinearModel model = TrainRidgeGd(m, response, options, {}, info);
-    models_->Inc();
-    {
-      std::lock_guard<std::mutex> lock(model_mu_);
-      warm_[response] = model.weights;
-    }
-    return model;
+    return Train(Covar(txn), response, options, info);
   }
 
   /// Horizon of the newest published snapshot (epochs maintained).
   uint64_t horizon_epochs() {
     std::lock_guard<std::mutex> lock(mu_);
-    return current_->horizon;
+    return entries_.back()->horizon;
   }
 
   /// Snapshots published so far (including the initial one).
@@ -309,6 +295,63 @@ class SnapshotServer : public StreamEpochObserver {
   }
 
  private:
+  friend class ShardedSnapshotServer<Strategy>;
+
+  // The retained entries, oldest first (the merged-cut search).
+  std::vector<std::shared_ptr<const Entry>> Retained() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return {entries_.begin(), entries_.end()};
+  }
+
+  // One covariance read of `entry`: the pinned views under the root view's
+  // read lock, or the payload copied at the boundary.
+  CovarMatrix CovarOf(const Entry& entry) const {
+    WallTimer timer;
+    reads_->Inc();
+    if constexpr (kPinned) {
+      scheduler_->BeginViewRead(root_mask_);
+      CovarMatrix m = strategy_->CovarAt(entry.pin);
+      scheduler_->EndViewRead(root_mask_);
+      read_latency_->Observe(timer.Seconds());
+      return m;
+    } else {
+      read_latency_->Observe(timer.Seconds());
+      return CovarMatrix(entry.num_features, entry.covar);
+    }
+  }
+
+  // One group-by read of node v's pinned view, under v's read lock.
+  std::vector<std::pair<uint64_t, double>> GroupByOf(const Entry& entry,
+                                                     int v) const {
+    WallTimer timer;
+    reads_->Inc();
+    std::vector<uint8_t> mask(root_mask_.size(), 0);
+    mask[v] = 1;
+    scheduler_->BeginViewRead(mask);
+    auto out = strategy_->GroupByAt(v, entry.pin);
+    scheduler_->EndViewRead(mask);
+    read_latency_->Observe(timer.Seconds());
+    return out;
+  }
+
+  // Ridge training on `m`, warm-started from the last weights for
+  // `response`.
+  LinearModel Train(const CovarMatrix& m, int response, RidgeOptions options,
+                    TrainInfo* info) {
+    {
+      std::lock_guard<std::mutex> lock(model_mu_);
+      auto it = warm_.find(response);
+      if (it != warm_.end()) options.warm_start = it->second;
+    }
+    LinearModel model = TrainRidgeGd(m, response, options, {}, info);
+    models_->Inc();
+    {
+      std::lock_guard<std::mutex> lock(model_mu_);
+      warm_[response] = model.weights;
+    }
+    return model;
+  }
+
   void Publish(uint64_t horizon, std::vector<size_t> watermark) {
     // Runs on the applier thread (or the owner's at construction): the
     // instant lands in that thread's trace ring when tracing is on.
@@ -318,17 +361,18 @@ class SnapshotServer : public StreamEpochObserver {
                                                strategy_);
     snapshots_->Inc();
     std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::move(entry);  // superseded entry unpins on last release
+    entries_.push_back(std::move(entry));
+    // An entry leaving the window unpins on its last release.
+    if (entries_.size() > options_.retained_entries) entries_.pop_front();
     ++published_;
   }
 
   StreamScheduler<Strategy>* scheduler_;
-  const ShadowDb* db_;
   Strategy* strategy_;
   ServeOptions options_;
   std::vector<uint8_t> root_mask_;  // view-gate mask: the root view only
-  std::mutex mu_;                   // guards current_ + published_
-  std::shared_ptr<const Entry> current_;
+  mutable std::mutex mu_;           // guards entries_ + published_
+  std::deque<std::shared_ptr<const Entry>> entries_;  // newest last
   size_t published_ = 0;
   std::mutex model_mu_;             // guards warm_
   std::map<int, std::vector<double>> warm_;  // response -> last weights

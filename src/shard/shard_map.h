@@ -53,11 +53,10 @@ class ShardMap {
   const std::vector<int>& key_attrs() const { return key_attrs_; }
 
   // Packed key of a raw update-stream row (values as doubles, like
-  // UpdateBatch carries them). Routing runs BEFORE the per-shard ingress
-  // validation ever sees the row, so malformed rows (too short, or a
-  // non-finite key value whose int cast would be undefined) must still
-  // route somewhere deterministic: they key to kUnitKey, land on shard 0,
-  // and get rejected by that shard's validator.
+  // UpdateBatch carries them). The sharded router validates a batch before
+  // routing it, but KeyOfRow stays total on its own: malformed rows (too
+  // short, or a non-finite key value whose int cast would be undefined)
+  // key to kUnitKey and land on shard 0.
   uint64_t KeyOfRow(const std::vector<double>& row) const {
     if (key_attrs_.empty()) return kUnitKey;
     if (key_attrs_.size() == 1) {

@@ -5,6 +5,14 @@
 // instance, metrics registry and (optionally) checkpoint file — and routes
 // every pushed UpdateBatch by the deterministic key-range ShardMap:
 //
+//   * Every batch is VALIDATED ONCE, before routing, by the same ingress
+//     check an unsharded pipeline runs (stream_internal::BatchValidator).
+//     A rejected batch is quarantined whole at the fleet and reaches no
+//     shard, exactly as the unsharded pipeline rejects it whole. The shard
+//     pipelines run with validation off: every delivery is a slice of a
+//     validated batch — a valid root row, insert or delete, routes by its
+//     content to the one shard holding its inserts, and non-root batches
+//     are replicated.
 //   * ROOT-relation batches SPLIT: rows partition by ShardOfRow in stable
 //     row order, and each shard receives one sub-batch holding exactly its
 //     rows (empty sub-batches are delivered nowhere).
@@ -32,10 +40,13 @@
 // tests/shard_test.cc builds such fixtures), and equal only up to rounding
 // for general doubles. Deterministic always; exact when the data is.
 //
-// OBSERVABILITY. Each shard's pipeline owns a private registry;
-// MetricsText() folds them through MetricsRegistry::MergeFrom into one
-// fresh exposition — every instrument appears as the cross-shard aggregate
-// under its original name plus per-shard "_shard<i>" series.
+// OBSERVABILITY. Each shard's pipeline owns a private registry (which a
+// serve layer over the shard shares); MetricsText() folds them through
+// MetricsRegistry::MergeFrom into one fresh exposition — every instrument
+// appears as the cross-shard aggregate under its original name plus
+// per-shard "_shard<i>" series. The router's ingress rejects count under
+// the same relborg_stream_rejected_* / *quarantine* names, in the
+// aggregate only.
 //
 // CHECKPOINTS. When ShardedStreamOptions::checkpoint_prefix is set, shard i
 // checkpoints to <prefix>shard-i.ckpt on its own epoch cadence. Resume()
@@ -44,7 +55,9 @@
 // 0: routing re-derives each shard's delivery sequence, and each shard
 // skips its restored delivery prefix — per-shard prefixes differ (each
 // shard checkpoints at its own epoch boundaries), which a single global
-// cursor could not express.
+// cursor could not express. The router's validator starts empty and
+// re-checks the whole replayed stream, skipped deliveries included, so it
+// rejects exactly the batches the checkpointed run rejected.
 #ifndef RELBORG_SHARD_SHARDED_STREAM_SCHEDULER_H_
 #define RELBORG_SHARD_SHARDED_STREAM_SCHEDULER_H_
 
@@ -74,6 +87,8 @@ struct ShardedStreamOptions {
   // Per-shard pipeline options. `checkpoint.path` and `metrics` must stay
   // unset — the sharded scheduler derives per-shard checkpoint paths from
   // checkpoint_prefix below and owns one registry per shard.
+  // `validate_ingress` and `quarantine_capacity` configure the router's
+  // one ingress check; the shard pipelines always run without validation.
   StreamOptions stream;
   // Path prefix for per-shard checkpoint files (<prefix>shard-<i>.ckpt;
   // any directory component must exist — a directory with a trailing
@@ -130,12 +145,6 @@ inline StreamStats AggregateShardStats(const std::vector<StreamStats>& per) {
   return t;
 }
 
-/// A quarantined batch with the shard that rejected it.
-struct ShardQuarantinedBatch {
-  int shard = -1;
-  QuarantinedBatch rejected;
-};
-
 template <typename Strategy>
 class ShardedStreamScheduler {
  public:
@@ -191,12 +200,21 @@ class ShardedStreamScheduler {
   ShardedStreamScheduler(const ShardedStreamScheduler&) = delete;
   ShardedStreamScheduler& operator=(const ShardedStreamScheduler&) = delete;
 
-  /// Routes one batch (see the file comment). Single-producer, like
-  /// StreamScheduler::Push. Returns the first per-shard rejection if any
-  /// delivery failed validation; deliveries to OTHER shards still proceed
-  /// (each shard quarantines independently).
+  /// Validates and routes one batch (see the file comment).
+  /// Single-producer, like StreamScheduler::Push. A batch that fails
+  /// validation returns its kInvalidArgument status and is quarantined
+  /// (DrainQuarantine); no shard receives any of its rows. Otherwise
+  /// returns the first shard failure (a failed or finished pipeline), OK
+  /// when every delivery was accepted. Rejected and empty batches still
+  /// advance global_batches().
   Status Push(const UpdateBatch& batch) {
     const uint64_t g = ++global_batches_;
+    if (validator_ != nullptr) {
+      stream_internal::BatchValidator::CheckResult chk;
+      Status st = validator_->Check(batch, &chk);
+      if (!st.ok()) return st;
+      validator_->Account(chk);
+    }
     if (batch.rows.empty()) return Status::Ok();
     Status first = Status::Ok();
     if (batch.node == map_.root_node()) {
@@ -227,8 +245,8 @@ class ShardedStreamScheduler {
   }
 
   /// Finishes every shard pipeline (ascending order), aggregates their
-  /// stats and returns the first shard failure (OK when all drained
-  /// cleanly). Idempotent.
+  /// stats plus the router's ingress rejects into *total, and returns the
+  /// first shard failure (OK when all drained cleanly). Idempotent.
   Status Finish(StreamStats* total = nullptr,
                 std::vector<StreamStats>* per_shard = nullptr) {
     if (!finished_) {
@@ -242,7 +260,11 @@ class ShardedStreamScheduler {
         }
       }
     }
-    if (total != nullptr) *total = AggregateShardStats(shard_stats_);
+    if (total != nullptr) {
+      std::vector<StreamStats> all = shard_stats_;
+      all.push_back(router_metrics_.Derive());
+      *total = AggregateShardStats(all);
+    }
     if (per_shard != nullptr) *per_shard = shard_stats_;
     return finish_status_;
   }
@@ -298,9 +320,11 @@ class ShardedStreamScheduler {
   /// One Prometheus exposition across the fleet: a FRESH registry per call
   /// (MergeFrom re-adds counters, so the aggregate is never kept live),
   /// with every instrument as the cross-shard aggregate plus "_shard<i>"
-  /// per-shard series. Safe from any thread while pipelines run.
+  /// per-shard series; the router's ingress rejects join the aggregate.
+  /// Safe from any thread while pipelines run.
   std::string MetricsText() const {
     obs::MetricsRegistry agg;
+    agg.MergeFrom(router_registry_);
     for (size_t s = 0; s < shards_.size(); ++s) {
       agg.MergeFrom(shards_[s]->scheduler->metrics(),
                     "_shard" + std::to_string(s));
@@ -313,16 +337,11 @@ class ShardedStreamScheduler {
     return shards_[s]->scheduler->metrics();
   }
 
-  /// Drains every shard's quarantine, tagged with the shard index,
-  /// ascending shard order (oldest-first within a shard).
-  std::vector<ShardQuarantinedBatch> DrainQuarantine() {
-    std::vector<ShardQuarantinedBatch> out;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      for (QuarantinedBatch& q : shards_[s]->scheduler->DrainQuarantine()) {
-        out.push_back({static_cast<int>(s), std::move(q)});
-      }
-    }
-    return out;
+  /// Removes and returns the batches the router rejected, whole and
+  /// oldest first. Safe from any thread.
+  std::vector<QuarantinedBatch> DrainQuarantine() {
+    if (validator_ == nullptr) return {};
+    return validator_->Drain();
   }
 
   /// Maps shard s's applied-row count (the sum of an epoch watermark) to
@@ -387,7 +406,9 @@ class ShardedStreamScheduler {
                          const ExecPolicy& policy,
                          ShardedStreamOptions options, DeferStart)
       : fm_(fm), map_(std::move(map)), policy_(policy),
-        options_(std::move(options)) {
+        options_(std::move(options)),
+        router_metrics_(
+            stream_internal::StreamMetrics::Register(&router_registry_)) {
     RELBORG_CHECK(options_.stream.metrics == nullptr);
     RELBORG_CHECK(options_.stream.checkpoint.path.empty());
     shards_.reserve(static_cast<size_t>(map_.num_shards()));
@@ -399,12 +420,20 @@ class ShardedStreamScheduler {
           std::make_unique<Strategy>(shard->shadow.get(), fm_, policy_);
       shards_.push_back(std::move(shard));
     }
+    if (options_.stream.validate_ingress) {
+      // Shard 0's database supplies the catalog. It is still empty here —
+      // before any restore — so the validator starts with empty live
+      // multisets, also on Resume.
+      validator_ = std::make_unique<stream_internal::BatchValidator>(
+          shards_[0]->shadow.get(), options_.stream, &router_metrics_);
+    }
   }
 
   // Spins up shard s's pipeline (fresh, or resuming from `info`).
   void StartShard(int s, const StreamCheckpointInfo* info) {
     Shard& shard = *shards_[s];
     StreamOptions opts = options_.stream;
+    opts.validate_ingress = false;  // the router validated every delivery
     opts.metrics = shard.registry.get();
     if (!options_.checkpoint_prefix.empty()) {
       opts.checkpoint.path = ShardCheckpointPath(options_.checkpoint_prefix, s);
@@ -416,7 +445,7 @@ class ShardedStreamScheduler {
   // Hands one non-empty batch to shard s. The delivery is logged only when
   // the shard ACCEPTS it (or when it replays a restored prefix, which was
   // accepted by the run that checkpointed), so the applied-rows bijection
-  // in DeliveryInterval never counts quarantined rows.
+  // in DeliveryInterval never counts rows a failed pipeline dropped.
   Status Deliver(int s, uint64_t g, UpdateBatch batch) {
     Shard& shard = *shards_[s];
     const size_t rows = batch.rows.size();
@@ -439,7 +468,13 @@ class ShardedStreamScheduler {
   ShardMap map_;
   ExecPolicy policy_;
   ShardedStreamOptions options_;
+  // The router's ingress: rejection counters (in a registry of their own,
+  // folded into the fleet's aggregates) and the validator, null when
+  // validate_ingress is off. Producer thread, except the quarantine drain.
+  obs::MetricsRegistry router_registry_;
+  stream_internal::StreamMetrics router_metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<stream_internal::BatchValidator> validator_;
   std::atomic<uint64_t> global_batches_{0};
   // Guards every shard's delivery log against concurrent serve readers
   // (DeliveryInterval); appends happen on the producer thread only.

@@ -79,13 +79,10 @@
 //         snapshot, and the applier accepts a speculated delta only when
 //         the child versions are unchanged — version equality implies
 //         state identity, which implies bit-identity.
-//     StreamOptions.overlap_compute = false (or overlap_commits = false,
-//     whose serialized schedule commits rows too late for the compute
-//     stage to read them) turns the stage into a pure forwarder — the PR-5
-//     schedule. Strategies without the speculative API (FirstOrderIvm's
-//     delta join reads the whole database, so every epoch's write set
-//     intersects every probe set) are forwarded untouched as well and keep
-//     the serial schedule; stats report speculated_ranges == 0 for them.
+//     Strategies without the speculative API (FirstOrderIvm's delta join
+//     reads the whole database, so every epoch's write set intersects
+//     every probe set) are forwarded untouched and keep the serial
+//     schedule; stats report speculated_ranges == 0 for them.
 //   * The APPLIER maintains computed epochs strictly in order. Within an
 //     epoch, ranges run in canonical order — deepest view group first
 //     (IndependentViewGroups), ascending node id within a group. Because
@@ -182,17 +179,6 @@ struct StreamOptions {
   // ~max_queued_epochs epochs ahead of maintenance).
   size_t max_queued_rows = 1 << 16;
   size_t max_queued_epochs = 4;
-  // When false, the committer thread forwards epochs untouched and the
-  // applier commits each epoch right before maintaining it — the PR-4
-  // serialized schedule. Results are bit-identical either way; the toggle
-  // exists for differential stress tests and overlap A/B measurements.
-  bool overlap_commits = true;
-  // When false, the compute thread forwards epochs untouched and every
-  // delta is computed at its serial point on the applier thread — the PR-5
-  // schedule. Speculation also requires overlap_commits (its rows must be
-  // committed before the compute stage can read them) and a strategy with
-  // the speculative per-range API. Results are bit-identical either way.
-  bool overlap_compute = true;
   // The computed queue's capacity: the compute stage runs at most this
   // many epochs ahead of maintenance.
   size_t max_compute_ahead_epochs = 4;
@@ -207,8 +193,11 @@ struct StreamOptions {
   // range, per-row arity and attribute types, finite values, deletes only
   // retracting live multiplicities — and routes rejected batches to a
   // bounded quarantine instead of letting them reach the pipeline (where
-  // they would corrupt views or trip an abort). Off skips the per-row scan
-  // for trusted producers; results are identical for valid streams.
+  // they would corrupt views or trip an abort). Off builds no validator:
+  // Push skips the per-row scan, and a resumed scheduler skips the scan of
+  // its restored rows. For trusted producers — the sharded router
+  // validates each source batch once and runs its shards with this off.
+  // Results are identical for valid streams.
   bool validate_ingress = true;
   // Rejected batches kept for DrainQuarantine; older rejects beyond the
   // capacity are dropped (counted in quarantine_dropped_batches). 0 keeps
@@ -253,7 +242,6 @@ struct StreamStats {
   // Timing (observability only; never affects results).
   double apply_seconds = 0;   // wall time maintaining epochs (gate wait in)
   double commit_seconds = 0;  // wall time splicing chunks, gate waits out
-                              // (booked here in either overlap mode)
   double compute_seconds = 0;  // wall time speculating, gate waits out
   double commit_gate_wait_seconds = 0;    // committer blocked on readers
   double maintain_gate_wait_seconds = 0;  // applier blocked on commits
@@ -276,6 +264,12 @@ struct StreamStats {
   size_t checkpoints_written = 0;   // complete checkpoint files renamed in
   size_t checkpoint_bytes = 0;      // file bytes across them
   double checkpoint_seconds = 0;    // wall time serializing + writing
+};
+
+/// A batch the ingress validator rejected, retained for inspection.
+struct QuarantinedBatch {
+  UpdateBatch batch;
+  Status status;  // why it was rejected
 };
 
 namespace stream_internal {
@@ -452,8 +446,8 @@ template <typename Strategy>
 struct ComputedEpoch<Strategy, true> {
   struct Range {
     // Exactly one of `speculated` / `probes_staged` is set for a range the
-    // compute stage touched; both false means the range passed through
-    // (overlap off) and the applier computes it serially from scratch.
+    // compute stage touched; both false means the applier computes the
+    // range serially from scratch.
     bool speculated = false;
     typename Strategy::RangeDelta delta{};
     // (node, version) of every child view the delta was computed against.
@@ -569,10 +563,14 @@ class BoundedChannel {
   bool closed_ = false;
 };
 
-// Ingress-side batch validation against the catalog. Untrusted producers
-// must not be able to reach any RELBORG_CHECK abort (or silently corrupt
-// views) with a malformed UpdateBatch, so everything the pipeline assumes
-// about a batch is checked HERE, before it enters the ingress queue:
+// Ingress-side batch validation against the catalog, plus the bounded
+// quarantine of rejected batches — the one validate-and-quarantine path.
+// StreamScheduler::Push runs it on every batch when validate_ingress is
+// on; the sharded router runs it once per source batch, before routing.
+// Untrusted producers must not be able to reach any RELBORG_CHECK abort
+// (or silently corrupt views) with a malformed UpdateBatch, so everything
+// the pipeline assumes about a batch is checked HERE, before it enters a
+// pipeline:
 //
 //   * node id within the join tree;
 //   * batch sign exactly +1 or -1;
@@ -587,9 +585,12 @@ class BoundedChannel {
 //     multiplicities negative, which every downstream invariant assumes
 //     cannot happen).
 //
-// Check is read-only; Account applies an ACCEPTED batch's effect to the
-// live multiset — split so a batch that times out in TryPush after
-// validation is never accounted. Single-threaded (the producer thread).
+// Check leaves the live multisets alone (a rejected batch is counted and
+// kept in the quarantine; older rejects beyond the capacity are dropped
+// and counted); Account applies an ACCEPTED batch's effect — split so a
+// batch that times out in TryPush after validation is never accounted.
+// Check/Account belong to the producer thread; Drain and quarantine_size
+// are safe from any thread.
 class BatchValidator {
  public:
   struct CheckResult {
@@ -600,9 +601,19 @@ class BatchValidator {
 
   // Seeds the live multisets from rows already committed to `db` — the
   // checkpoint-resume case, where the restored prefix's deletes must stay
-  // retractable-aware. On a fresh db this is a no-op.
-  explicit BatchValidator(const ShadowDb* db)
-      : db_(db), live_(db->tree().num_nodes()) {
+  // retractable-aware. On a fresh db this is a no-op. `metrics` supplies
+  // the rejection counters.
+  BatchValidator(const ShadowDb* db, const StreamOptions& options,
+                 StreamMetrics* metrics)
+      : db_(db),
+        live_(db->tree().num_nodes()),
+        capacity_(options.quarantine_capacity),
+        trace_(options.trace),
+        m_(metrics) {
+    // The producer thread never installs a trace scope; rejects are
+    // recorded into this dedicated ring. Push is single-producer, so the
+    // single-writer contract holds.
+    if (trace_ != nullptr) producer_log_ = trace_->RegisterThread("producer");
     for (int v = 0; v < db->tree().num_nodes(); ++v) {
       const Relation& rel = db->relation(v);
       for (size_t row = 0; row < rel.num_rows(); ++row) {
@@ -620,7 +631,62 @@ class BatchValidator {
     }
   }
 
-  Status Check(const UpdateBatch& batch, CheckResult* out) const {
+  // Checks `batch`. On rejection the batch is counted and quarantined, and
+  // the returned status says why.
+  Status Check(const UpdateBatch& batch, CheckResult* out) {
+    Status st = CheckRows(batch, out);
+    if (st.ok()) return st;
+    m_->rejected_batches->Inc();
+    m_->rejected_rows->Inc(static_cast<double>(batch.rows.size()));
+    if (producer_log_ != nullptr) {
+      const uint64_t now = trace_->NowNs();
+      producer_log_->Record("quarantine", "ingress", /*epoch=*/-1, batch.node,
+                            now, now);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (quarantine_.size() >= capacity_) {
+      (void)RELBORG_FAULT("stream/quarantine-full");  // observation only
+      m_->quarantine_dropped_batches->Inc();
+    } else {
+      quarantine_.push_back(QuarantinedBatch{batch, st});
+      m_->quarantined_batches->Inc();
+    }
+    return st;
+  }
+
+  // Applies an accepted batch's multiplicity effect. Call exactly once per
+  // batch, only after it was handed on.
+  void Account(const CheckResult& chk) {
+    if (chk.node < 0) return;  // zero-row no-op batch
+    FlatHashMap<uint32_t>& live = live_[chk.node];
+    for (uint64_t h : chk.hashes) {
+      if (chk.is_delete) {
+        --live[h];  // Check proved coverage, so the count is positive
+      } else {
+        ++live[h];
+      }
+    }
+  }
+
+  // Removes and returns the quarantined batches, oldest first.
+  std::vector<QuarantinedBatch> Drain() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<QuarantinedBatch> out(
+        std::make_move_iterator(quarantine_.begin()),
+        std::make_move_iterator(quarantine_.end()));
+    quarantine_.clear();
+    return out;
+  }
+
+  size_t quarantine_size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return quarantine_.size();
+  }
+
+ private:
+  static constexpr uint64_t kHashSeed = 0xcbf29ce484222325ULL;
+
+  Status CheckRows(const UpdateBatch& batch, CheckResult* out) const {
     if (batch.rows.empty()) {
       // Zero-row batches are structural no-ops that still count toward
       // epoch sealing (node -1 is their conventional encoding), so they
@@ -689,23 +755,6 @@ class BatchValidator {
     return Status::Ok();
   }
 
-  // Applies an accepted batch's multiplicity effect. Call exactly once per
-  // batch, only after it was successfully enqueued.
-  void Account(const CheckResult& chk) {
-    if (chk.node < 0) return;  // zero-row no-op batch
-    FlatHashMap<uint32_t>& live = live_[chk.node];
-    for (uint64_t h : chk.hashes) {
-      if (chk.is_delete) {
-        --live[h];  // Check proved coverage, so the count is positive
-      } else {
-        ++live[h];
-      }
-    }
-  }
-
- private:
-  static constexpr uint64_t kHashSeed = 0xcbf29ce484222325ULL;
-
   // FNV-1a over the value's IEEE bit pattern — exact-content identity
   // (matches the committed row exactly: categorical codes round-trip the
   // double cast bit-for-bit).
@@ -725,6 +774,12 @@ class BatchValidator {
   const ShadowDb* db_;
   std::vector<FlatHashMap<uint32_t>> live_;  // per node: content hash ->
                                              // live multiplicity
+  size_t capacity_;
+  obs::TraceRecorder* trace_;
+  obs::trace_internal::ThreadLog* producer_log_ = nullptr;
+  StreamMetrics* m_;
+  mutable std::mutex mu_;  // guards quarantine_
+  std::deque<QuarantinedBatch> quarantine_;
 };
 
 // Node-granular exclusion between the committer (splicing one chunk at a
@@ -882,20 +937,12 @@ class ViewGate : public ViewWriteGate {
 
 // Commits every range of an epoch in canonical order: the chunk payloads
 // are consumed, the range headers (node/first/rows) and watermarks stay
-// for maintenance. With a gate, each splice excludes itself from nodes
-// under maintenance and adds its blocked time to *gate_wait_seconds.
-// Shared by the scheduler's committer thread and by ReplayStream, so both
-// paths commit in the exact same order.
-inline void CommitEpoch(ShadowDb* shadow, StreamEpoch* epoch,
-                        CommitGate* gate = nullptr,
-                        double* gate_wait_seconds = nullptr) {
+// for maintenance. The single-threaded commit of ReplayStream and the
+// stepped pipeline; the scheduler's committer splices in the same order,
+// range by range under the CommitGate.
+inline void CommitEpoch(ShadowDb* shadow, StreamEpoch* epoch) {
   for (StreamRange& range : epoch->ranges) {
-    const int node = range.chunk.node;
-    double waited = 0;
-    if (gate != nullptr) waited = gate->BeginCommit(node);
     shadow->CommitChunk(std::move(range.chunk));
-    if (gate != nullptr) gate->EndCommit(node);
-    if (gate_wait_seconds != nullptr) *gate_wait_seconds += waited;
   }
 }
 
@@ -1073,12 +1120,6 @@ class StreamEpochObserver {
                                  const std::vector<size_t>& watermark) = 0;
 };
 
-/// A batch the ingress validator rejected, retained for inspection.
-struct QuarantinedBatch {
-  UpdateBatch batch;
-  Status status;  // why it was rejected
-};
-
 /// The pipeline. Construct over a ShadowDb + strategy, Push batches (blocks
 /// on backpressure), then Finish() to flush, drain and join. The strategy's
 /// result state (e.g. CovarFivm::Current) is valid after Finish.
@@ -1113,7 +1154,6 @@ class StreamScheduler {
         strategy_(strategy),
         options_(options),
         assembler_(shadow, options),
-        validator_(shadow),
         ingress_(options.max_queued_rows),
         sealed_(options.max_queued_epochs),
         committed_(options.max_queued_epochs),
@@ -1128,11 +1168,9 @@ class StreamScheduler {
         registry_(options.metrics != nullptr ? options.metrics
                                              : owned_registry_.get()),
         m_(stream_internal::StreamMetrics::Register(registry_)) {
-    if (options_.trace != nullptr) {
-      // The producer (Push/TryPush) thread never installs a trace scope;
-      // the scheduler records its ingress events into this dedicated ring.
-      // Push is single-producer, so the single-writer contract holds.
-      producer_log_ = options_.trace->RegisterThread("producer");
+    if (options_.validate_ingress) {
+      validator_ = std::make_unique<stream_internal::BatchValidator>(
+          shadow, options_, &m_);
     }
     if (resume != nullptr) {
       m_.batches->Inc(static_cast<double>(resume->batches));
@@ -1242,17 +1280,12 @@ class StreamScheduler {
   /// Removes and returns the quarantined batches accumulated so far (their
   /// rejection Status attached), oldest first. Safe from any thread.
   std::vector<QuarantinedBatch> DrainQuarantine() {
-    std::lock_guard<std::mutex> lock(quarantine_mu_);
-    std::vector<QuarantinedBatch> out(
-        std::make_move_iterator(quarantine_.begin()),
-        std::make_move_iterator(quarantine_.end()));
-    quarantine_.clear();
-    return out;
+    if (validator_ == nullptr) return {};
+    return validator_->Drain();
   }
 
   size_t quarantine_size() const {
-    std::lock_guard<std::mutex> lock(quarantine_mu_);
-    return quarantine_.size();
+    return validator_ == nullptr ? 0 : validator_->quarantine_size();
   }
 
   // Restores checkpointed state written by a scheduler with the same
@@ -1325,14 +1358,9 @@ class StreamScheduler {
       return Status::FailedPrecondition("Push after Finish: batch dropped");
     }
     stream_internal::BatchValidator::CheckResult chk;
-    if (options_.validate_ingress) {
-      Status st = validator_.Check(batch, &chk);
-      if (!st.ok()) {
-        m_.rejected_batches->Inc();
-        m_.rejected_rows->Inc(static_cast<double>(batch.rows.size()));
-        Quarantine(std::move(batch), st);
-        return st;
-      }
+    if (validator_ != nullptr) {
+      Status st = validator_->Check(batch, &chk);
+      if (!st.ok()) return st;
     }
     const size_t weight = std::max<size_t>(batch.rows.size(), 1);
     if (timeout != nullptr) {
@@ -1350,7 +1378,7 @@ class StreamScheduler {
     } else if (!ingress_.Push(std::move(batch), weight)) {
       return ClosedStatus();
     }
-    if (options_.validate_ingress) validator_.Account(chk);
+    if (validator_ != nullptr) validator_->Account(chk);
     return Status::Ok();
   }
 
@@ -1362,24 +1390,6 @@ class StreamScheduler {
     Status st = status();
     if (!st.ok()) return st;
     return Status::FailedPrecondition("stream pipeline closed: batch dropped");
-  }
-
-  void Quarantine(UpdateBatch batch, const Status& st) {
-    // Producer-thread trace event (the producer has no ThreadTraceScope;
-    // see producer_log_).
-    if (producer_log_ != nullptr) {
-      const uint64_t now = options_.trace->NowNs();
-      producer_log_->Record("quarantine", "ingress", /*epoch=*/-1, batch.node,
-                            now, now);
-    }
-    std::lock_guard<std::mutex> lock(quarantine_mu_);
-    if (quarantine_.size() >= options_.quarantine_capacity) {
-      (void)RELBORG_FAULT("stream/quarantine-full");  // observation only
-      m_.quarantine_dropped_batches->Inc();
-      return;
-    }
-    quarantine_.push_back(QuarantinedBatch{std::move(batch), st});
-    m_.quarantined_batches->Inc();
   }
 
   // Latches the FIRST stage failure (later ones lose the race and are
@@ -1436,40 +1446,37 @@ class StreamScheduler {
     StreamEpoch epoch;
     while (sealed_.Pop(&epoch)) {
       if (Failed()) continue;  // drain: drop without committing
-      if (options_.overlap_commits) {
-        obs::TraceSpan span("commit", "stage",
-                            static_cast<int64_t>(epoch.id));
-        WallTimer timer;
-        double waited = 0;
-        bool faulted = false;
-        // Per-RANGE commit with a fault site before each splice: an
-        // injected fault here leaves the ShadowDb genuinely torn
-        // mid-epoch (earlier ranges spliced, later ones lost) — exactly
-        // the state a real crash leaves, which recovery must discard by
-        // restoring into a fresh db.
-        for (StreamRange& range : epoch.ranges) {
-          if (RELBORG_FAULT("stream/pre-commit-chunk")) {
-            Fail("commit", epoch.id,
-                 Status::Aborted("injected fault at stream/pre-commit-chunk"));
-            faulted = true;
-            break;
-          }
-          const int node = range.chunk.node;
-          waited += gate_.BeginCommit(node);
-          shadow_->CommitChunk(std::move(range.chunk));
-          gate_.EndCommit(node);
+      obs::TraceSpan span("commit", "stage", static_cast<int64_t>(epoch.id));
+      WallTimer timer;
+      double waited = 0;
+      bool faulted = false;
+      // Per-RANGE commit with a fault site before each splice: an injected
+      // fault here leaves the ShadowDb genuinely torn mid-epoch (earlier
+      // ranges spliced, later ones lost) — exactly the state a real crash
+      // leaves, which recovery must discard by restoring into a fresh db.
+      for (StreamRange& range : epoch.ranges) {
+        if (RELBORG_FAULT("stream/pre-commit-chunk")) {
+          Fail("commit", epoch.id,
+               Status::Aborted("injected fault at stream/pre-commit-chunk"));
+          faulted = true;
+          break;
         }
-        m_.commit_gate_wait->Observe(waited);
-        m_.commit_seconds->Observe(timer.Seconds() - waited);
-        if (faulted) continue;  // epoch dropped mid-commit
-        // Observability: how far commits ran ahead of maintenance (the
-        // applier publishes the count of maintained epochs; relaxed reads
-        // are fine for a gauge).
-        const uint64_t maintained =
-            maintained_epochs_.load(std::memory_order_relaxed);
-        m_.commit_ahead_max->SetMax(
-            static_cast<double>(epoch.id + 1 - maintained));
+        const int node = range.chunk.node;
+        waited += gate_.BeginCommit(node);
+        shadow_->CommitChunk(std::move(range.chunk));
+        gate_.EndCommit(node);
       }
+      m_.commit_gate_wait->Observe(waited);
+      m_.commit_seconds->Observe(timer.Seconds() - waited);
+      if (faulted) continue;  // epoch dropped mid-commit
+      // Observability: how far commits ran ahead of maintenance (the
+      // applier publishes the count of maintained epochs; relaxed reads are
+      // fine for a gauge).
+      const uint64_t maintained =
+          maintained_epochs_.load(std::memory_order_relaxed);
+      m_.commit_ahead_max->SetMax(
+          static_cast<double>(epoch.id + 1 - maintained));
+      span.End();
       committed_.Push(std::move(epoch));
       Progress();
     }
@@ -1478,14 +1485,10 @@ class StreamScheduler {
 
   using ComputedEpoch = stream_internal::ComputedEpoch<Strategy>;
 
-  // True when this run speculates: the strategy has the per-range API, the
-  // compute overlap is on, and commits run ahead (with overlap_commits off
-  // an epoch's rows are not committed yet when the compute stage sees it).
+  // True when the strategy has the speculative per-range API; the compute
+  // stage forwards every other strategy's epochs untouched.
   static constexpr bool kSpec =
       stream_internal::HasSpeculativeCompute<Strategy>::value;
-  bool SpeculationOn() const {
-    return kSpec && options_.overlap_commits && options_.overlap_compute;
-  }
 
   void ComputeLoop() {
     obs::ThreadTraceScope trace_scope(options_.trace, "compute");
@@ -1502,37 +1505,34 @@ class StreamScheduler {
       ComputedEpoch ce;
       ce.epoch = std::move(epoch);
       if constexpr (kSpec) {
-        if (SpeculationOn()) {
-          if (RELBORG_FAULT("stream/pre-compute-range")) {
-            Fail("compute", ce.epoch.id,
-                 Status::Aborted("injected fault at stream/pre-compute-range"));
-            continue;
-          }
-          obs::TraceSpan span("compute", "stage",
-                              static_cast<int64_t>(ce.epoch.id));
-          WallTimer timer;
-          const uint64_t maintained =
-              maintained_epochs_.load(std::memory_order_acquire);
-          while (!pending.empty() && pending.front().first < maintained) {
-            pending.pop_front();
-          }
-          m_.compute_overlap_max->SetMax(
-              static_cast<double>(ce.epoch.id + 1 - maintained));
-          pending_mask.assign(all_reads_.size(), 0);
-          for (const auto& [id, reads] : pending) {
-            for (size_t v = 0; v < reads.size(); ++v) {
-              pending_mask[v] |= reads[v];
-            }
-          }
-          const double waited_before = m_.compute_gate_wait->Sum();
-          stream_internal::SpeculateEpoch(
-              strategy_, *shadow_, &ce, &pending_mask,
-              options_.speculate_past_conflicts, &gate_, &view_gate_, &m_);
-          pending.emplace_back(ce.epoch.id, ce.epoch.reads);
-          m_.compute_seconds->Observe(
-              timer.Seconds() -
-              (m_.compute_gate_wait->Sum() - waited_before));
+        if (RELBORG_FAULT("stream/pre-compute-range")) {
+          Fail("compute", ce.epoch.id,
+               Status::Aborted("injected fault at stream/pre-compute-range"));
+          continue;
         }
+        obs::TraceSpan span("compute", "stage",
+                            static_cast<int64_t>(ce.epoch.id));
+        WallTimer timer;
+        const uint64_t maintained =
+            maintained_epochs_.load(std::memory_order_acquire);
+        while (!pending.empty() && pending.front().first < maintained) {
+          pending.pop_front();
+        }
+        m_.compute_overlap_max->SetMax(
+            static_cast<double>(ce.epoch.id + 1 - maintained));
+        pending_mask.assign(all_reads_.size(), 0);
+        for (const auto& [id, reads] : pending) {
+          for (size_t v = 0; v < reads.size(); ++v) {
+            pending_mask[v] |= reads[v];
+          }
+        }
+        const double waited_before = m_.compute_gate_wait->Sum();
+        stream_internal::SpeculateEpoch(
+            strategy_, *shadow_, &ce, &pending_mask,
+            options_.speculate_past_conflicts, &gate_, &view_gate_, &m_);
+        pending.emplace_back(ce.epoch.id, ce.epoch.reads);
+        m_.compute_seconds->Observe(
+            timer.Seconds() - (m_.compute_gate_wait->Sum() - waited_before));
       }
       computed_.Push(std::move(ce));
       Progress();
@@ -1541,17 +1541,15 @@ class StreamScheduler {
   }
 
   // Maintains one computed epoch: through the speculative path (validate /
-  // recompute / propagate under the view gate) when this run speculates,
-  // else the plain serial path.
+  // recompute / propagate under the view gate) for strategies with the
+  // per-range API, else the plain serial path.
   void Maintain(ComputedEpoch* ce) {
     if constexpr (kSpec) {
-      if (SpeculationOn()) {
-        stream_internal::MaintainEpochSpeculative(strategy_, ce, &view_gate_,
-                                                  &m_);
-        return;
-      }
+      stream_internal::MaintainEpochSpeculative(strategy_, ce, &view_gate_,
+                                                &m_);
+    } else {
+      stream_internal::MaintainEpoch(strategy_, &ce->epoch);
     }
-    stream_internal::MaintainEpoch(strategy_, &ce->epoch);
   }
 
   void ApplyLoop() {
@@ -1564,21 +1562,6 @@ class StreamScheduler {
       m_.ranges->Inc(static_cast<double>(epoch.ranges.size()));
       cum_batches_ += epoch.batches;
       cum_rows_ += epoch.rows;
-      if (!options_.overlap_commits) {
-        // Serialized schedule: the commit runs here, but is still booked
-        // as commit time so apply_seconds stays commensurate across the
-        // overlap A/B.
-        if (RELBORG_FAULT("stream/pre-commit-chunk")) {
-          Fail("commit", epoch.id,
-               Status::Aborted("injected fault at stream/pre-commit-chunk"));
-          continue;
-        }
-        obs::TraceSpan commit_span("commit", "stage",
-                                   static_cast<int64_t>(epoch.id));
-        WallTimer commit_timer;
-        stream_internal::CommitEpoch(shadow_, &epoch);
-        m_.commit_seconds->Observe(commit_timer.Seconds());
-      }
       if (RELBORG_FAULT("stream/pre-publish-merge")) {
         Fail("apply", epoch.id,
              Status::Aborted("injected fault at stream/pre-publish-merge"));
@@ -1587,17 +1570,13 @@ class StreamScheduler {
       obs::TraceSpan apply_span("apply", "stage",
                                 static_cast<int64_t>(epoch.id));
       WallTimer timer;
-      if (options_.overlap_commits) {
-        const std::vector<uint8_t>& reads =
-            stream_internal::ReadsAncestorClosure<Strategy>::value
-                ? epoch.reads
-                : all_reads_;
-        m_.maintain_gate_wait->Observe(gate_.BeginMaintain(reads));
-        Maintain(&ce);
-        gate_.EndMaintain(reads);
-      } else {
-        Maintain(&ce);
-      }
+      const std::vector<uint8_t>& reads =
+          stream_internal::ReadsAncestorClosure<Strategy>::value
+              ? epoch.reads
+              : all_reads_;
+      m_.maintain_gate_wait->Observe(gate_.BeginMaintain(reads));
+      Maintain(&ce);
+      gate_.EndMaintain(reads);
       // Release pairs with ComputeLoop's acquire: an epoch observed as
       // maintained has all its folds and version bumps visible.
       maintained_epochs_.store(epoch.id + 1, std::memory_order_release);
@@ -1668,17 +1647,15 @@ class StreamScheduler {
     info.ranges = static_cast<size_t>(m_.ranges->Value());
     info.watermark = maintained_watermark_;
     SerializeStreamCheckpointInfo(info, &sink);
-    // With overlapped commits the committer may be splicing FUTURE epochs
-    // into the ShadowDb right now (column appends can reallocate), so take
-    // the maintain side of the gate across the prefix serialization. Safe
-    // against self-deadlock: BeginMaintain waits only on busy_ committers,
-    // never on other maintain-side holders (the compute thread's node
-    // holds don't block us, and we hold nothing yet).
-    if (options_.overlap_commits) {
-      m_.maintain_gate_wait->Observe(gate_.BeginMaintain(all_reads_));
-    }
+    // The committer may be splicing FUTURE epochs into the ShadowDb right
+    // now (column appends can reallocate), so take the maintain side of the
+    // gate across the prefix serialization. Safe against self-deadlock:
+    // BeginMaintain waits only on busy_ committers, never on other
+    // maintain-side holders (the compute thread's node holds don't block
+    // us, and we hold nothing yet).
+    m_.maintain_gate_wait->Observe(gate_.BeginMaintain(all_reads_));
     SerializeShadowDbPrefix(*shadow_, maintained_watermark_, &sink);
-    if (options_.overlap_commits) gate_.EndMaintain(all_reads_);
+    gate_.EndMaintain(all_reads_);
     sink.U32(Strategy::kCheckpointTag);
     strategy_->SaveCheckpoint(&sink);
     size_t bytes = 0;
@@ -1749,10 +1726,9 @@ class StreamScheduler {
   Strategy* strategy_;
   StreamOptions options_;
   EpochAssembler assembler_;  // assemble thread only (after construction)
-  // Producer-thread state (same thread as Push/TryPush/Finish): the
-  // ingress validator's live-multiplicity multiset and the producer-owned
-  // rejection counters live here; the quarantine is shared (mutex).
-  stream_internal::BatchValidator validator_;
+  // Ingress validation and quarantine (producer thread; the quarantine is
+  // drainable from any thread). Null when validate_ingress is off.
+  std::unique_ptr<stream_internal::BatchValidator> validator_;
   stream_internal::BoundedChannel<UpdateBatch> ingress_;
   stream_internal::BoundedChannel<StreamEpoch> sealed_;
   stream_internal::BoundedChannel<StreamEpoch> committed_;
@@ -1779,9 +1755,6 @@ class StreamScheduler {
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
   stream_internal::StreamMetrics m_;
-  // Producer-thread trace ring (quarantine/reject events); null when
-  // tracing is off.
-  obs::trace_internal::ThreadLog* producer_log_ = nullptr;
   // Applier-thread cumulative batch/row counters (seeded from `resume`):
   // the checkpoint's replay cursor — the stream prefix it captures is
   // exactly the first cum_batches_ source batches.
@@ -1792,10 +1765,6 @@ class StreamScheduler {
   std::atomic<bool> failed_{false};
   mutable std::mutex fail_mu_;
   Status fail_status_;
-  // Bounded quarantine of rejected ingress batches (producer writes,
-  // any thread drains).
-  mutable std::mutex quarantine_mu_;
-  std::deque<QuarantinedBatch> quarantine_;
   // Stall watchdog state. progress_ is bumped by every stage on every
   // item; the watchdog compares successive samples.
   std::atomic<uint64_t> progress_{0};
@@ -1983,9 +1952,7 @@ class SteppedStreamPipeline {
     }
     StreamEpoch epoch = std::move(sealed_.front());
     sealed_.pop_front();
-    if (options_.overlap_commits) {
-      stream_internal::CommitEpoch(shadow_, &epoch);
-    }
+    stream_internal::CommitEpoch(shadow_, &epoch);
     committed_.push_back(std::move(epoch));
     return true;
   }
@@ -1999,22 +1966,20 @@ class SteppedStreamPipeline {
     ce.epoch = std::move(committed_.front());
     committed_.pop_front();
     if constexpr (kSpec) {
-      if (options_.overlap_commits && options_.overlap_compute) {
-        // In-flight here is precisely the computed queue: epochs past the
-        // compute stage, not yet maintained.
-        std::vector<uint8_t> pending(ce.epoch.reads.size(), 0);
-        for (const Computed& p : computed_) {
-          for (size_t v = 0; v < p.epoch.reads.size(); ++v) {
-            pending[v] |= p.epoch.reads[v];
-          }
+      // In-flight here is precisely the computed queue: epochs past the
+      // compute stage, not yet maintained.
+      std::vector<uint8_t> pending(ce.epoch.reads.size(), 0);
+      for (const Computed& p : computed_) {
+        for (size_t v = 0; v < p.epoch.reads.size(); ++v) {
+          pending[v] |= p.epoch.reads[v];
         }
-        m_.compute_overlap_max->SetMax(
-            static_cast<double>(ce.epoch.id + 1 - applied_epochs_));
-        stream_internal::SpeculateEpoch(strategy_, *shadow_, &ce, &pending,
-                                        options_.speculate_past_conflicts,
-                                        /*commit_gate=*/nullptr,
-                                        /*view_gate=*/nullptr, &m_);
       }
+      m_.compute_overlap_max->SetMax(
+          static_cast<double>(ce.epoch.id + 1 - applied_epochs_));
+      stream_internal::SpeculateEpoch(strategy_, *shadow_, &ce, &pending,
+                                      options_.speculate_past_conflicts,
+                                      /*commit_gate=*/nullptr,
+                                      /*view_gate=*/nullptr, &m_);
     }
     computed_.push_back(std::move(ce));
     return true;
@@ -2026,18 +1991,12 @@ class SteppedStreamPipeline {
     computed_.pop_front();
     m_.epochs->Inc();
     m_.ranges->Inc(static_cast<double>(ce.epoch.ranges.size()));
-    if (!options_.overlap_commits) {
-      stream_internal::CommitEpoch(shadow_, &ce.epoch);
-    }
     if constexpr (kSpec) {
-      if (options_.overlap_commits && options_.overlap_compute) {
-        stream_internal::MaintainEpochSpeculative(strategy_, &ce,
-                                                  /*gate=*/nullptr, &m_);
-        applied_epochs_ = ce.epoch.id + 1;
-        return true;
-      }
+      stream_internal::MaintainEpochSpeculative(strategy_, &ce,
+                                                /*gate=*/nullptr, &m_);
+    } else {
+      stream_internal::MaintainEpoch(strategy_, &ce.epoch);
     }
-    stream_internal::MaintainEpoch(strategy_, &ce.epoch);
     applied_epochs_ = ce.epoch.id + 1;
     return true;
   }

@@ -17,13 +17,16 @@
 //   * Restore: per-shard checkpoints resumed into a fresh fleet and
 //     replayed equal the straight-through run, including a shard whose
 //     checkpoint file was deleted (fresh restart mid-fleet).
-//   * Quarantine routing: a poison batch is rejected by exactly the shards
-//     it routed to, tagged with their indices, and the fleet's final state
-//     ignores it.
+//   * One ingress: a poison row mid-stream rejects its whole batch at the
+//     router — no shard applies any of its rows, even when the batch's
+//     other rows route to other shards — and the fleet's state and merged
+//     reads stay equal to the unsharded run, which rejects the same batch.
 //
 // Runs under TSan in CI (reader threads hammer merged begins against N
 // concurrent pipelines' applier/committer/compute threads).
 #include <atomic>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -329,7 +332,7 @@ TEST(ShardedServeTest, MergedReadsMatchPrefixOracle) {
   };
   constexpr int kReaders = 3;
   std::vector<std::vector<Observation>> observed(kReaders);
-  size_t failed_begins = 0;
+  std::atomic<size_t> failed_begins{0};
   {
     ShardedStreamOptions options;
     options.stream = SmallEpochOptions();
@@ -352,6 +355,8 @@ TEST(ShardedServeTest, MergedReadsMatchPrefixOracle) {
             o.groups = server.GroupBy(txn, oracle.gb_node);
             server.EndSnapshot(&txn);
             observed[t].push_back(std::move(o));
+          } else {
+            failed_begins.fetch_add(1, std::memory_order_relaxed);
           }
           if (last) break;
         }
@@ -363,17 +368,19 @@ TEST(ShardedServeTest, MergedReadsMatchPrefixOracle) {
     ASSERT_TRUE(sched.Finish().ok());
     done.store(true, std::memory_order_release);
     for (std::thread& r : readers) r.join();
-    const obs::Counter* failures = server.metrics().FindCounter(
-        "relborg_sharded_serve_begin_failures_total");
-    ASSERT_NE(failures, nullptr);
-    failed_begins = static_cast<size_t>(failures->Value());
+    // The per-shard servers register one relborg_serve_* family, merged
+    // into the fleet's exposition.
+    const std::string text = server.MetricsText();
+    EXPECT_NE(text.find("relborg_serve_reads_total "), std::string::npos);
+    EXPECT_NE(text.find("relborg_serve_reads_total_shard3 "),
+              std::string::npos);
   }
   size_t checked = 0;
   uint64_t max_seen = 0;
   for (const std::vector<Observation>& per_thread : observed) {
     ASSERT_FALSE(per_thread.empty())
-        << "merged begins never succeeded (failed begins: " << failed_begins
-        << ")";
+        << "merged begins never succeeded (failed begins: "
+        << failed_begins.load() << ")";
     for (const Observation& o : per_thread) {
       ASSERT_LT(o.batches, oracle.covar.size());
       ExpectPayloadExact(o.covar, oracle.covar[o.batches]);
@@ -464,34 +471,111 @@ TEST(ShardedRestoreTest, MissingShardCheckpointRestartsThatShardOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Quarantine routing: a poison root batch is rejected by exactly the
-// shards its rows routed to and leaves the merged state untouched.
+// One ingress: a poison row mid-stream is rejected with its whole batch at
+// the router, exactly as the unsharded pipeline rejects it.
 
-TEST(ShardedQuarantineTest, PoisonBatchIsTaggedAndIgnored) {
+// A chain root row R0(k1, a) whose key routes to `shard`.
+std::vector<double> RootRowOnShard(const ShardMap& map, int shard, double a) {
+  for (int k = 0; k < 64; ++k) {
+    std::vector<double> row = {static_cast<double>(k), a};
+    if (map.ShardOfRow(row) == shard) return row;
+  }
+  ADD_FAILURE() << "no key routes to shard " << shard;
+  return {};
+}
+
+TEST(ShardedQuarantineTest, PoisonRowMidStreamMatchesUnsharded) {
   const RandomDb db = MakeRandomDb(42, Topology::kChain, /*fact_rows=*/30,
                                    /*domain=*/8, /*integer_values=*/true);
   const FeatureMap fm(db.query, db.features);
-  const std::vector<UpdateBatch> stream = MakeMixed(db, 47);
-  const CovarMatrix want = UnshardedResult<CovarFivm>(db, fm, stream, 2);
-  ShardedStreamOptions options;
-  options.stream = SmallEpochOptions();
-  ShardedStreamScheduler<CovarFivm> sched(
-      db.query, 0, &fm, ShardMap::ForQuery(db.query, 0, 4), MakePolicy(2),
-      options);
-  for (const UpdateBatch& batch : stream) ASSERT_TRUE(sched.Push(batch).ok());
-  UpdateBatch poison;
-  poison.node = 0;
-  poison.rows = {{1.0, std::nan("")}};  // chain R0(k1, a): non-finite value
-  const Status st = sched.Push(poison);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(sched.Finish().ok()) << "rejection must not fail the fleet";
-  auto quarantined = sched.DrainQuarantine();
-  ASSERT_EQ(quarantined.size(), 1u) << "one shard received the poison row";
-  EXPECT_GE(quarantined[0].shard, 0);
-  EXPECT_LT(quarantined[0].shard, 4);
-  EXPECT_EQ(quarantined[0].rejected.batch.rows.size(), 1u);
-  ExpectCovarExact(sched.MergedCurrent(), want);
+  const std::vector<UpdateBatch> base = MakeMixed(db, 40);
+  const size_t mid = base.size() / 2;
+  for (int shards : {2, 4}) {
+    const ShardMap map = ShardMap::ForQuery(db.query, 0, shards);
+    // The non-finite value sits in R0's non-key attribute `a`, so the
+    // poison row routes by its key to the last shard.
+    const std::vector<double> poison_row =
+        RootRowOnShard(map, shards - 1, std::nan(""));
+    UpdateBatch single;
+    single.node = 0;
+    single.rows = {poison_row};
+    // The multi-row batch re-inserts every source root row that routes to
+    // shard 0, so applying its valid rows would change the aggregate.
+    UpdateBatch multi;
+    multi.node = 0;
+    const Relation& root = *db.query.relation(0);
+    for (size_t r = 0; r < root.num_rows(); ++r) {
+      std::vector<double> row = {root.AsDouble(r, 0), root.AsDouble(r, 1)};
+      if (map.ShardOfRow(row) == 0) multi.rows.push_back(std::move(row));
+    }
+    ASSERT_GE(multi.rows.size(), 2u);
+    multi.rows.insert(multi.rows.begin() + 1, poison_row);
+    for (const UpdateBatch& poison : {single, multi}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " poison rows=" + std::to_string(poison.rows.size()));
+      std::vector<UpdateBatch> stream = base;
+      stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(mid),
+                    poison);
+
+      // The unsharded run rejects the same batch whole.
+      ShadowDb shadow(db.query, 0);
+      CovarFivm unsharded(&shadow, &fm, MakePolicy(2));
+      {
+        StreamScheduler<CovarFivm> scheduler(&shadow, &unsharded,
+                                             SmallEpochOptions());
+        for (size_t i = 0; i < stream.size(); ++i) {
+          EXPECT_EQ(scheduler.Push(stream[i]).ok(), i != mid);
+        }
+        ASSERT_TRUE(scheduler.Finish().ok());
+      }
+      const CovarMatrix want = unsharded.Current();
+      ASSERT_GT(want.count(), 0) << "empty final join; pick another seed";
+
+      ShardedStreamOptions options;
+      options.stream = SmallEpochOptions();
+      ShardedStreamScheduler<CovarFivm> sched(db.query, 0, &fm, map,
+                                              MakePolicy(2), options);
+      ShardedSnapshotServer<CovarFivm> server(&sched);
+      for (size_t i = 0; i < stream.size(); ++i) {
+        const Status st = sched.Push(stream[i]);
+        if (i == mid) {
+          EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+        } else {
+          ASSERT_TRUE(st.ok()) << "batch " << i << ": " << st.ToString();
+        }
+      }
+      StreamStats total;
+      ASSERT_TRUE(sched.Finish(&total).ok())
+          << "rejection must not fail the fleet";
+
+      // Quarantined once, whole.
+      const std::vector<QuarantinedBatch> quarantined = sched.DrainQuarantine();
+      ASSERT_EQ(quarantined.size(), 1u);
+      EXPECT_EQ(quarantined[0].status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(quarantined[0].batch.rows.size(), poison.rows.size());
+      EXPECT_EQ(total.rejected_batches, 1u);
+      EXPECT_EQ(total.rejected_rows, poison.rows.size());
+      EXPECT_EQ(total.quarantined_batches, 1u);
+      EXPECT_NE(sched.MetricsText().find(
+                    "relborg_stream_rejected_batches_total 1\n"),
+                std::string::npos);
+
+      // No shard committed any row of the batch.
+      size_t root_rows = 0;
+      for (int s = 0; s < shards; ++s) {
+        root_rows += sched.shadow(s).committed_rows(0);
+      }
+      EXPECT_EQ(root_rows, shadow.committed_rows(0));
+
+      // State and merged reads equal the unsharded run, bit for bit.
+      ExpectCovarExact(sched.MergedCurrent(), want);
+      ShardedSnapshotServer<CovarFivm>::MergedReadTxn txn;
+      ASSERT_TRUE(server.BeginMergedSnapshot(&txn).ok());
+      EXPECT_EQ(txn.global_batches(), stream.size());
+      ExpectCovarExact(server.Covar(txn), want);
+      server.EndSnapshot(&txn);
+    }
+  }
 }
 
 }  // namespace

@@ -387,6 +387,47 @@ TEST(StreamCheckpointTest, RecoveryBitIdenticalWhileServerHoldsPins) {
   RemoveCheckpoint(path);
 }
 
+// A server built over a resumed scheduler, before any Push, serves the
+// restored state: the initial snapshot's watermark is the restored
+// committed rows, and its covariance the restored aggregate.
+TEST(StreamCheckpointTest, ServerOverResumedSchedulerServesRestoredState) {
+  RandomDb db = MakeRandomDb(7, Topology::kChain, /*fact_rows=*/48);
+  const std::vector<UpdateBatch> stream = MakeStream(db, 24);
+  const std::string path = CheckpointPath("serve_resume");
+  RemoveCheckpoint(path);
+  const StreamOptions options = CheckpointStreamOptions(path);
+  {
+    Engine<CovarFivm> full(db, /*threads=*/2);
+    Status st;
+    ApplyStream(&full.shadow, &full.strategy, stream, options, &st);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  Engine<CovarFivm> rec(db, /*threads=*/2);
+  StreamCheckpointInfo info;
+  const Status restored = StreamScheduler<CovarFivm>::RestoreFromCheckpoint(
+      path, &rec.shadow, &rec.strategy, &info);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  const CovarMatrix restored_covar = rec.strategy.Current();
+  std::vector<size_t> committed(rec.shadow.tree().num_nodes());
+  for (size_t v = 0; v < committed.size(); ++v) {
+    committed[v] = rec.shadow.committed_rows(static_cast<int>(v));
+  }
+  ASSERT_GT(committed[0], 0u) << "the checkpoint restored no root rows";
+
+  StreamOptions tail_options = options;
+  tail_options.checkpoint = StreamCheckpointOptions{};
+  StreamScheduler<CovarFivm> scheduler(&rec.shadow, &rec.strategy,
+                                       tail_options, &info);
+  SnapshotServer<CovarFivm> server(&scheduler, &rec.shadow, &rec.strategy);
+  auto txn = server.BeginSnapshot();
+  EXPECT_EQ(txn.watermark(), committed);
+  ExpectCovarExact(server.Covar(txn), restored_covar);
+  server.EndSnapshot(&txn);
+  ASSERT_TRUE(scheduler.Finish().ok());
+  RemoveCheckpoint(path);
+}
+
 // File-level failure modes of ReadCheckpointFile / RestoreFromCheckpoint:
 // missing file, corrupt payload, truncation, strategy-tag mismatch.
 TEST(StreamCheckpointTest, DetectsMissingCorruptAndMismatchedFiles) {

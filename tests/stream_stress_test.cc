@@ -4,8 +4,7 @@
 // Every case draws a full pipeline configuration from the case seed —
 // topology, stream shape (mixed insert/delete, incl. full retractions and
 // empty batches), epoch sealing bounds, queue capacities, thread count,
-// commit overlap on/off, COMPUTE overlap on/off with a drawn run-ahead
-// depth — runs all three IVM strategies through the async scheduler, and
+// compute run-ahead depth — runs all three IVM strategies through the async scheduler, and
 // demands BIT-IDENTITY with the serial ReplayStream reference plus
 // identical structural stats. The point is adversarial coverage of the
 // overlap machinery: tiny queues force backpressure, tiny epochs force
@@ -101,13 +100,11 @@ StressConfig DrawConfig(uint64_t seed, int index) {
   const size_t row_caps[] = {1, 16, 4096};
   cfg.options.max_queued_rows = row_caps[rng.Below(3)];
   cfg.options.max_queued_epochs = static_cast<size_t>(rng.Range(1, 4));
-  cfg.options.overlap_commits = rng.Below(4) != 0;  // mostly on
-  // Compute-overlap dimension: speculation mostly on, run-ahead depth from
-  // lockstep (1) to deep (4). Occasionally speculate past conflicts —
-  // forcing the validation-miss / serial-recompute path that conflict
-  // avoidance makes rare — and occasionally inject empty batches so
-  // zero-range epochs flow through the pipeline mid-stream.
-  cfg.options.overlap_compute = rng.Below(4) != 0;  // mostly on
+  // Compute run-ahead depth from lockstep (1) to deep (4). Occasionally
+  // speculate past conflicts — forcing the validation-miss /
+  // serial-recompute path that conflict avoidance makes rare — and
+  // occasionally inject empty batches so zero-range epochs flow through
+  // the pipeline mid-stream.
   cfg.options.max_compute_ahead_epochs = static_cast<size_t>(rng.Range(1, 4));
   cfg.options.speculate_past_conflicts = rng.Below(3) == 0;
   cfg.empty_batch_probability = rng.Below(2) == 0 ? 0.0 : 0.2;
@@ -210,9 +207,7 @@ TEST_P(StreamStressSuite, WatermarksAreMonotoneUnderLoad) {
   CovarFivm fivm(&shadow, &fm, MakePolicy(cfg.threads));
   const int num_nodes = shadow.tree().num_nodes();
   std::vector<size_t> last(num_nodes, 0);
-  StreamOptions options = cfg.options;
-  options.overlap_commits = true;
-  StreamScheduler<CovarFivm> scheduler(&shadow, &fivm, options);
+  StreamScheduler<CovarFivm> scheduler(&shadow, &fivm, cfg.options);
   for (const UpdateBatch& batch : stream) {
     scheduler.Push(batch);
     for (int v = 0; v < num_nodes; ++v) {
@@ -227,63 +222,11 @@ TEST_P(StreamStressSuite, WatermarksAreMonotoneUnderLoad) {
     EXPECT_EQ(shadow.committed_rows(v), shadow.relation(v).num_rows());
   }
   EXPECT_EQ(stats.rows, StreamRowCount(stream));
-  // With overlap on, the committer always finishes an epoch before the
-  // applier maintains it, so its lead is at least one epoch.
+  // The committer always finishes an epoch before the applier maintains
+  // it, so its lead is at least one epoch.
   if (stats.epochs > 0) {
     EXPECT_GE(stats.commit_ahead_max_epochs, 1u);
   }
-}
-
-// Overlap on and off must agree bitwise: the commit gate and the
-// watermarks make the committer's lead unobservable in the results.
-TEST_P(StreamStressSuite, OverlapToggleIsUnobservable) {
-  const uint64_t seed = GetParam();
-  const StressConfig cfg = DrawConfig(seed, /*index=*/5);
-  RandomDb db = MakeRandomDb(seed + 3, cfg.topology, cfg.fact_rows);
-  const std::vector<UpdateBatch> stream =
-      MakeStressStream(db, seed + 13, cfg);
-  StreamOptions on = cfg.options;
-  on.overlap_commits = true;
-  StreamOptions off = cfg.options;
-  off.overlap_commits = false;
-  StreamStats stats_on, stats_off;
-  const CovarMatrix with_overlap = RunStream<CovarFivm>(
-      db, stream, /*async=*/true, cfg.threads, on, &stats_on);
-  const CovarMatrix without_overlap = RunStream<CovarFivm>(
-      db, stream, /*async=*/true, cfg.threads, off, &stats_off);
-  ExpectCovarExact(with_overlap, without_overlap);
-  EXPECT_EQ(stats_on.epochs, stats_off.epochs);
-  EXPECT_EQ(stats_on.ranges, stats_off.ranges);
-}
-
-// Compute overlap on and off must agree bitwise too: turning speculation
-// off restores the PR-5 schedule (every delta computed at its serial
-// point), and the toggle is invisible in the maintained results.
-TEST_P(StreamStressSuite, ComputeOverlapToggleIsUnobservable) {
-  const uint64_t seed = GetParam();
-  const StressConfig cfg = DrawConfig(seed, /*index=*/6);
-  RandomDb db = MakeRandomDb(seed + 11, cfg.topology, cfg.fact_rows);
-  const std::vector<UpdateBatch> stream =
-      MakeStressStream(db, seed + 17, cfg);
-  StreamOptions on = cfg.options;
-  on.overlap_commits = true;
-  on.overlap_compute = true;
-  StreamOptions off = cfg.options;
-  off.overlap_commits = true;
-  off.overlap_compute = false;
-  StreamStats stats_on, stats_off;
-  const CovarMatrix with_compute = RunStream<CovarFivm>(
-      db, stream, /*async=*/true, cfg.threads, on, &stats_on);
-  const CovarMatrix without_compute = RunStream<CovarFivm>(
-      db, stream, /*async=*/true, cfg.threads, off, &stats_off);
-  ExpectCovarExact(with_compute, without_compute);
-  EXPECT_EQ(stats_on.epochs, stats_off.epochs);
-  EXPECT_EQ(stats_on.ranges, stats_off.ranges);
-  // With the compute stage forwarding, nothing speculates or stages.
-  EXPECT_EQ(stats_off.speculated_ranges, 0u);
-  EXPECT_EQ(stats_off.probe_staged_ranges, 0u);
-  EXPECT_EQ(stats_on.speculation_hits + stats_on.speculation_misses,
-            stats_on.speculated_ranges);
 }
 
 // FirstOrderIvm has no speculative per-range API (its delta-join
@@ -293,8 +236,6 @@ TEST_P(StreamStressSuite, ComputeOverlapToggleIsUnobservable) {
 TEST_P(StreamStressSuite, FirstOrderFallsBackToSerialSchedule) {
   const uint64_t seed = GetParam();
   StressConfig cfg = DrawConfig(seed, /*index=*/7);
-  cfg.options.overlap_commits = true;
-  cfg.options.overlap_compute = true;
   RandomDb db = MakeRandomDb(seed + 5, cfg.topology, cfg.fact_rows);
   const std::vector<UpdateBatch> stream =
       MakeStressStream(db, seed + 23, cfg);
@@ -320,8 +261,6 @@ TEST_P(StreamStressSuite, ZeroRangeEpochsUnderComputeOverlap) {
   cfg.empty_batch_probability = 0.5;
   cfg.options.epoch_rows = 8192;
   cfg.options.epoch_batches = 1;  // every empty batch seals a zero-range epoch
-  cfg.options.overlap_commits = true;
-  cfg.options.overlap_compute = true;
   RandomDb db = MakeRandomDb(seed + 2, cfg.topology, cfg.fact_rows);
   const std::vector<UpdateBatch> stream =
       MakeStressStream(db, seed + 29, cfg);
@@ -338,8 +277,6 @@ TEST_P(StreamStressSuite, FullRetractionUnderComputeOverlap) {
   StressConfig cfg = DrawConfig(seed, /*index=*/9);
   cfg.delete_probability = 0.5;
   cfg.full_retraction_probability = 1.0;
-  cfg.options.overlap_commits = true;
-  cfg.options.overlap_compute = true;
   RandomDb db = MakeRandomDb(seed + 19, cfg.topology, cfg.fact_rows);
   const std::vector<UpdateBatch> stream =
       MakeStressStream(db, seed + 37, cfg);
@@ -353,8 +290,6 @@ TEST_P(StreamStressSuite, FullRetractionUnderComputeOverlap) {
 TEST_P(StreamStressSuite, SpeculatePastConflictsStaysBitIdentical) {
   const uint64_t seed = GetParam();
   StressConfig cfg = DrawConfig(seed, /*index=*/10);
-  cfg.options.overlap_commits = true;
-  cfg.options.overlap_compute = true;
   cfg.options.speculate_past_conflicts = true;
   cfg.options.max_compute_ahead_epochs = 4;
   RandomDb db = MakeRandomDb(seed + 41, cfg.topology, cfg.fact_rows);
@@ -500,8 +435,6 @@ TEST_P(StreamStressSuite, SteppedPipelineRandomTracesAreBitIdentical) {
   const uint64_t seed = GetParam();
   for (int index = 0; index < 3; ++index) {
     StressConfig cfg = DrawConfig(seed, /*index=*/11 + index);
-    cfg.options.overlap_commits = true;
-    cfg.options.overlap_compute = true;
     RandomDb db =
         MakeRandomDb(seed + 51 + index, cfg.topology, cfg.fact_rows);
     const std::vector<UpdateBatch> stream =
@@ -533,8 +466,6 @@ TEST_P(StreamStressSuite, SteppedPipelineRandomTracesAreBitIdentical) {
 TEST_P(StreamStressSuite, SteppedPipelineTraceReplayIsExact) {
   const uint64_t seed = GetParam();
   StressConfig cfg = DrawConfig(seed, /*index=*/14);
-  cfg.options.overlap_commits = true;
-  cfg.options.overlap_compute = true;
   cfg.options.speculate_past_conflicts = seed % 2 == 0;
   RandomDb db = MakeRandomDb(seed + 61, cfg.topology, cfg.fact_rows);
   const std::vector<UpdateBatch> stream =
@@ -569,8 +500,6 @@ TEST_P(StreamStressSuite, SteppedPipelineTraceReplayIsExact) {
 TEST_P(StreamStressSuite, SteppedPipelineDrainIsBitIdentical) {
   const uint64_t seed = GetParam();
   StressConfig cfg = DrawConfig(seed, /*index=*/15);
-  cfg.options.overlap_commits = true;
-  cfg.options.overlap_compute = true;
   cfg.options.speculate_past_conflicts = false;
   RandomDb db = MakeRandomDb(seed + 71, cfg.topology, cfg.fact_rows);
   const std::vector<UpdateBatch> stream =
