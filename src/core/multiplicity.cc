@@ -47,6 +47,10 @@ std::vector<std::vector<double>> ComputeRowMultiplicities(
   // the *rest of the tree* (everything outside subtree(v)) compatible with
   // parent-edge key `key`. Root context is 1.
   std::vector<FlatHashMap<double>> down(num_nodes);
+  // Per-row scratch, sized per node: each child's key and up count, and
+  // the prefix/suffix products over them.
+  std::vector<uint64_t> keys;
+  std::vector<double> vals, prefix, suffix;
   // Preorder = reversed postorder (parents before children).
   const auto& post = tree.postorder();
   for (auto it = post.rbegin(); it != post.rend(); ++it) {
@@ -57,6 +61,11 @@ std::vector<std::vector<double>> ComputeRowMultiplicities(
     const std::vector<Predicate>* preds =
         filters.empty() ? nullptr : &filters[v];
     const bool is_root = v == tree.root();
+    const size_t k = node.children.size();
+    keys.resize(k);
+    vals.resize(k);
+    prefix.assign(k + 1, 1.0);
+    suffix.assign(k + 1, 1.0);
     for (size_t row = 0; row < rel.num_rows(); ++row) {
       if (sub_row[v][row] == 0.0) continue;  // filtered or dangling
       if (preds != nullptr && !preds->empty() &&
@@ -70,24 +79,19 @@ std::vector<std::vector<double>> ComputeRowMultiplicities(
         ctx = *d;
       }
       // For each child c: context(c) = ctx * prod_{c' != c} up[c'](key).
-      // Computed via prefix/suffix products to stay linear in #children.
-      const size_t k = node.children.size();
-      std::vector<double> vals(k);
+      // Computed via prefix/suffix products to stay linear in #children;
+      // prefix[0] and suffix[k] stay 1.
       for (size_t i = 0; i < k; ++i) {
-        const double* cp =
-            up[node.children[i]].Find(tree.RowKeyToChild(v, node.children[i],
-                                                         row));
+        keys[i] = tree.RowKeyToChild(v, node.children[i], row);
+        const double* cp = up[node.children[i]].Find(keys[i]);
         vals[i] = cp == nullptr ? 0.0 : *cp;
       }
-      std::vector<double> prefix(k + 1, 1.0);
-      std::vector<double> suffix(k + 1, 1.0);
       for (size_t i = 0; i < k; ++i) prefix[i + 1] = prefix[i] * vals[i];
       for (size_t i = k; i > 0; --i) suffix[i - 1] = suffix[i] * vals[i - 1];
       for (size_t i = 0; i < k; ++i) {
         double others = prefix[i] * suffix[i + 1];
         if (others == 0.0) continue;
-        down[node.children[i]][tree.RowKeyToChild(v, node.children[i], row)] +=
-            ctx * others;
+        down[node.children[i]][keys[i]] += ctx * others;
       }
     }
   }

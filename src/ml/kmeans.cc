@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/multiplicity.h"
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/flat_hash_map.h"
 #include "util/rng.h"
@@ -14,61 +15,135 @@ namespace {
 
 double Sq(double x) { return x * x; }
 
-double Dist2(const double* a, const double* b, int dims) {
-  double d = 0;
-  for (int i = 0; i < dims; ++i) d += Sq(a[i] - b[i]);
-  return d;
+double Weight(const WeightedPoints& pts, size_t i) {
+  return pts.weights.empty() ? 1.0 : pts.weights[i];
 }
 
-int Nearest(const double* p, const std::vector<std::vector<double>>& centroids,
-            int dims, double* dist2_out) {
-  int best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < centroids.size(); ++c) {
-    double d = Dist2(p, centroids[c].data(), dims);
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<int>(c);
+void CheckOptions(const KMeansOptions& options) {
+  RELBORG_CHECK(options.k >= 1 && options.max_iters >= 0);
+}
+
+// The Lloyd kernel over flat k*dims centroid arrays. D > 0 fixes the
+// dimension count at compile time, so the distance loop unrolls and the
+// centroid stride is a constant; D == 0 is the generic loop over run-time
+// dims. Every variant does the same per-point arithmetic in the same order
+// (squared differences summed in dims order, a strict < so ties go to the
+// lowest centroid index), so all of them produce the same bits.
+template <int D>
+struct Kernel {
+  int dims;  // == D when D > 0
+
+  int Dims() const { return D > 0 ? D : dims; }
+
+  const double* Point(const WeightedPoints& pts, size_t i) const {
+    return pts.coords.data() + i * Dims();
+  }
+
+  double Dist2(const double* a, const double* b) const {
+    double d = 0;
+    for (int i = 0; i < Dims(); ++i) d += Sq(a[i] - b[i]);
+    return d;
+  }
+
+  // Calls fn(i, c, d2) for every point i in order, with c its nearest of
+  // the first k centroids and d2 the squared distance to it. Each point
+  // meets the centroids in index order and keeps the first strictly
+  // closest one.
+  template <typename Fn>
+  void ForEachNearest(const WeightedPoints& pts, const double* centroids,
+                      int k, Fn&& fn) const {
+    constexpr size_t kBlock = 256;
+    const size_t n = pts.num_points();
+    int best[kBlock];
+    double best_d[kBlock];
+    // With fixed dims, points go in blocks with the centroids in the outer
+    // loop, so the compiler vectorises across the points of a block.
+    // Generic dims scan one point at a time.
+    const size_t block = D > 0 ? kBlock : 1;
+    for (size_t lo = 0; lo < n; lo += block) {
+      const size_t m = std::min(block, n - lo);
+      const double* p = Point(pts, lo);
+      std::fill_n(best, m, 0);
+      std::fill_n(best_d, m, std::numeric_limits<double>::infinity());
+      for (int c = 0; c < k; ++c) {
+        const double* centroid = centroids + static_cast<size_t>(c) * Dims();
+        for (size_t j = 0; j < m; ++j) {
+          const double d = Dist2(p + j * Dims(), centroid);
+          const bool closer = d < best_d[j];
+          best[j] = closer ? c : best[j];
+          best_d[j] = closer ? d : best_d[j];
+        }
+      }
+      for (size_t j = 0; j < m; ++j) fn(lo + j, best[j], best_d[j]);
     }
   }
-  if (dist2_out != nullptr) *dist2_out = best_d;
-  return best;
+
+  // Weighted sum of squared distances to the nearest centroid; also stores
+  // each point's nearest centroid into `assign` when it is non-null.
+  double Objective(const WeightedPoints& pts, const double* centroids, int k,
+                   int* assign) const {
+    double obj = 0;
+    ForEachNearest(pts, centroids, k, [&](size_t i, int c, double d) {
+      if (assign != nullptr) assign[i] = c;
+      obj += d * Weight(pts, i);
+    });
+    return obj;
+  }
+};
+
+// Runs fn(kernel) with the kernel specialised for `dims`. Only counts below
+// the vector width are specialised: where the target has FMA, GCC contracts
+// `d += Sq(t)` into a fused multiply-add even under -std=c++17, and the
+// generic loop over 4 or more dims vectorises with unfused squares, so
+// unrolling those counts would move the last bits of a distance.
+template <typename Fn>
+auto WithKernel(int dims, Fn&& fn) {
+  switch (dims) {
+    case 1:
+      return fn(Kernel<1>{1});
+    case 2:
+      return fn(Kernel<2>{2});
+    case 3:
+      return fn(Kernel<3>{3});
+    default:
+      return fn(Kernel<0>{dims});
+  }
 }
 
-// Weighted k-means++ seeding.
-std::vector<std::vector<double>> Seed(const WeightedPoints& pts, int k,
-                                      Rng* rng) {
+// Weighted k-means++ seeding; returns k flat centroids.
+template <int D>
+std::vector<double> Seed(const Kernel<D>& kern, const WeightedPoints& pts,
+                         int k, Rng* rng) {
   const size_t n = pts.num_points();
-  const int dims = pts.dims;
-  std::vector<std::vector<double>> centroids;
-  auto weight = [&](size_t i) {
-    return pts.weights.empty() ? 1.0 : pts.weights[i];
+  const int dims = kern.Dims();
+  std::vector<double> centroids(static_cast<size_t>(k) * dims);
+  auto place = [&](int c, const double* p) {
+    std::copy(p, p + dims, centroids.begin() + static_cast<size_t>(c) * dims);
   };
   // First centroid: weight-proportional.
   double total = 0;
-  for (size_t i = 0; i < n; ++i) total += weight(i);
+  for (size_t i = 0; i < n; ++i) total += Weight(pts, i);
   double target = rng->Uniform() * total;
   size_t first = 0;
   for (size_t i = 0; i < n; ++i) {
-    target -= weight(i);
+    target -= Weight(pts, i);
     if (target <= 0) {
       first = i;
       break;
     }
   }
-  centroids.emplace_back(pts.Point(first), pts.Point(first) + dims);
+  place(0, kern.Point(pts, first));
   std::vector<double> d2(n);
-  while (static_cast<int>(centroids.size()) < k) {
+  for (int have = 1; have < k; ++have) {
     double sum = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double d;
-      Nearest(pts.Point(i), centroids, dims, &d);
-      d2[i] = d * weight(i);
-      sum += d2[i];
-    }
+    kern.ForEachNearest(pts, centroids.data(), have,
+                        [&](size_t i, int, double d) {
+                          d2[i] = d * Weight(pts, i);
+                          sum += d2[i];
+                        });
     if (sum <= 0) {
-      // All mass on the centroids already; duplicate one.
-      centroids.push_back(centroids.back());
+      // All mass on the centroids already; duplicate the last one.
+      place(have, centroids.data() + static_cast<size_t>(have - 1) * dims);
       continue;
     }
     double t = rng->Uniform() * sum;
@@ -80,73 +155,104 @@ std::vector<std::vector<double>> Seed(const WeightedPoints& pts, int k,
         break;
       }
     }
-    centroids.emplace_back(pts.Point(pick), pts.Point(pick) + dims);
+    place(have, kern.Point(pts, pick));
   }
   return centroids;
+}
+
+// Weighted Lloyd iterations. When `assign_out` is non-null it receives each
+// point's nearest final centroid: Lloyd's last assignment when the loop
+// stopped because no assignment changed, a fresh pass otherwise.
+template <int D>
+KMeansResult Lloyd(const Kernel<D>& kern, const WeightedPoints& pts,
+                   const KMeansOptions& options, std::vector<int>* assign_out) {
+  KMeansResult result;
+  const size_t n = pts.num_points();
+  std::vector<int> local_assign;
+  std::vector<int>& assign = assign_out != nullptr ? *assign_out
+                                                   : local_assign;
+  assign.assign(n, -1);
+  if (n == 0) return result;
+  const int dims = kern.Dims();
+  const int k = std::min<int>(options.k, static_cast<int>(n));
+  Rng rng(options.seed);
+  std::vector<double> centroids = Seed(kern, pts, k, &rng);
+  std::vector<double> sums(centroids.size());
+  std::vector<double> mass(k);
+  bool converged = false;
+  int it = 0;
+  for (; it < options.max_iters; ++it) {
+    bool changed = false;
+    kern.ForEachNearest(pts, centroids.data(), k,
+                        [&](size_t i, int c, double) {
+                          changed |= c != assign[i];
+                          assign[i] = c;
+                        });
+    if (!changed && it > 0) {
+      converged = true;
+      break;
+    }
+    // Recompute weighted means, accumulating in point order.
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(mass.begin(), mass.end(), 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double w = Weight(pts, i);
+      const double* p = kern.Point(pts, i);
+      double* s = sums.data() + static_cast<size_t>(assign[i]) * dims;
+      mass[assign[i]] += w;
+      for (int d = 0; d < dims; ++d) s[d] += w * p[d];
+    }
+    for (int c = 0; c < k; ++c) {
+      double* centroid = centroids.data() + static_cast<size_t>(c) * dims;
+      if (mass[c] <= 0) {
+        // Empty cluster: reseed at a uniformly drawn point.
+        const double* p = kern.Point(pts, rng.Below(n));
+        std::copy(p, p + dims, centroid);
+        continue;
+      }
+      const double* s = sums.data() + static_cast<size_t>(c) * dims;
+      for (int d = 0; d < dims; ++d) centroid[d] = s[d] / mass[c];
+    }
+  }
+  result.iterations = it;
+  const bool reassign = assign_out != nullptr && !converged;
+  result.objective = kern.Objective(pts, centroids.data(), k,
+                                    reassign ? assign.data() : nullptr);
+  result.centroids.reserve(k);
+  for (int c = 0; c < k; ++c) {
+    const double* centroid = centroids.data() + static_cast<size_t>(c) * dims;
+    result.centroids.emplace_back(centroid, centroid + dims);
+  }
+  return result;
+}
+
+KMeansResult RunLloyd(const WeightedPoints& pts, const KMeansOptions& options,
+                      std::vector<int>* assign_out) {
+  CheckOptions(options);
+  return WithKernel(pts.dims, [&](const auto& kern) {
+    return Lloyd(kern, pts, options, assign_out);
+  });
 }
 
 }  // namespace
 
 double KMeansObjective(const WeightedPoints& points,
                        const std::vector<std::vector<double>>& centroids) {
-  double obj = 0;
-  for (size_t i = 0; i < points.num_points(); ++i) {
-    double d;
-    Nearest(points.Point(i), centroids, points.dims, &d);
-    obj += d * (points.weights.empty() ? 1.0 : points.weights[i]);
+  std::vector<double> flat;
+  flat.reserve(centroids.size() * points.dims);
+  for (const std::vector<double>& c : centroids) {
+    RELBORG_CHECK(static_cast<int>(c.size()) >= points.dims);
+    flat.insert(flat.end(), c.begin(), c.begin() + points.dims);
   }
-  return obj;
+  return WithKernel(points.dims, [&](const auto& kern) {
+    return kern.Objective(points, flat.data(),
+                          static_cast<int>(centroids.size()), nullptr);
+  });
 }
 
 KMeansResult LloydKMeans(const WeightedPoints& pts,
                          const KMeansOptions& options) {
-  KMeansResult result;
-  const size_t n = pts.num_points();
-  const int dims = pts.dims;
-  if (n == 0) return result;
-  const int k = std::min<int>(options.k, static_cast<int>(n));
-  Rng rng(options.seed);
-  std::vector<std::vector<double>> centroids = Seed(pts, k, &rng);
-  auto weight = [&](size_t i) {
-    return pts.weights.empty() ? 1.0 : pts.weights[i];
-  };
-
-  std::vector<int> assign(n, -1);
-  int it = 0;
-  for (; it < options.max_iters; ++it) {
-    bool changed = false;
-    for (size_t i = 0; i < n; ++i) {
-      int c = Nearest(pts.Point(i), centroids, dims, nullptr);
-      if (c != assign[i]) {
-        assign[i] = c;
-        changed = true;
-      }
-    }
-    if (!changed && it > 0) break;
-    // Recompute weighted means.
-    std::vector<std::vector<double>> sums(k, std::vector<double>(dims, 0.0));
-    std::vector<double> mass(k, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      double w = weight(i);
-      mass[assign[i]] += w;
-      for (int d = 0; d < dims; ++d) {
-        sums[assign[i]][d] += w * pts.Point(i)[d];
-      }
-    }
-    for (int c = 0; c < k; ++c) {
-      if (mass[c] <= 0) {
-        // Empty cluster: reseed at the point farthest from its centroid.
-        size_t far = rng.Below(n);
-        centroids[c].assign(pts.Point(far), pts.Point(far) + dims);
-        continue;
-      }
-      for (int d = 0; d < dims; ++d) centroids[c][d] = sums[c][d] / mass[c];
-    }
-  }
-  result.centroids = std::move(centroids);
-  result.iterations = it;
-  result.objective = KMeansObjective(pts, result.centroids);
-  return result;
+  return RunLloyd(pts, options, nullptr);
 }
 
 KMeansResult LloydKMeans(const DataMatrix& data, const KMeansOptions& options) {
@@ -160,45 +266,87 @@ KMeansResult LloydKMeans(const DataMatrix& data, const KMeansOptions& options) {
 
 namespace {
 
-// Sparse payload mapping packed coreset keys (one byte per feature-bearing
-// relation, centroid id + 1) to counts; ring product ORs the disjoint
-// bytes. This is the counting pass that makes the coreset weights exact.
-// Backed by a hash map so that the per-tuple accumulation at the root
-// (whose distribution grows to the coreset size) stays O(1) per add.
-// Packed keys can never equal the map's ~0 sentinel: that would need eight
-// feature relations all assigned centroid id 254, which the per_relation_k
-// cap in RelationalKMeans rules out.
-struct AssignPayload {
-  FlatHashMap<double> entries;
-
-  bool empty() const { return entries.empty(); }
-
-  void AddInPlace(const AssignPayload& other) {
-    other.entries.ForEach([&](uint64_t key, double v) { entries[key] += v; });
-  }
-
-  void AddEntry(uint64_t key, double v) { entries[key] += v; }
-
-  template <typename Fn>
-  void ForEachKey(Fn&& fn) const {
-    entries.ForEach([&](uint64_t key, double v) { fn(key, v); });
-  }
+// The counting pass that makes the coreset weights exact. Its payloads map
+// packed coreset keys (one byte per feature-bearing relation, centroid id
+// + 1) to join-tuple counts; the ring product ORs the disjoint bytes.
+// Packed keys can never equal the hash map's ~0 sentinel: that would need
+// eight feature relations all assigned centroid id 254, which the
+// per_relation_k cap in RelationalKMeans rules out.
+struct KeyCount {
+  uint64_t key;
+  double count;
 };
 
-void AssignMulInto(const AssignPayload& a, const AssignPayload& b,
-                   AssignPayload* dst) {
-  dst->entries.clear();
-  a.ForEachKey([&](uint64_t ka, double va) {
-    b.ForEachKey([&](uint64_t kb, double vb) {
-      dst->AddEntry(ka | kb, va * vb);  // disjoint byte slots
-    });
-  });
+// A view payload below the root: its distinct keys, sorted, so that merging
+// a row's entries is a binary search. When every relation is keyed by its
+// parent edge's key (dimensions by their primary keys) it holds one entry.
+using AssignPayload = std::vector<KeyCount>;
+
+void MergeInto(const std::vector<KeyCount>& src, AssignPayload* dst) {
+  for (const KeyCount& e : src) {
+    auto it = std::lower_bound(
+        dst->begin(), dst->end(), e.key,
+        [](const KeyCount& a, uint64_t key) { return a.key < key; });
+    if (it != dst->end() && it->key == e.key) {
+      it->count += e.count;
+    } else {
+      dst->insert(it, e);
+    }
+  }
+}
+
+// One bottom-up pass whose lift encodes each row's local centroid id in its
+// relation's byte slot. Returns the root's counts, added row by row in row
+// order and payload order, so the coreset's point order (the map's slot
+// order) only depends on the sequence of keys the root rows produce.
+FlatHashMap<double> CountCoreset(
+    const RootedTree& tree, const std::vector<int>& slot_of_node,
+    const std::vector<std::vector<int>>& local_assign) {
+  std::vector<FlatHashMap<AssignPayload>> views(tree.num_nodes());
+  FlatHashMap<double> root_counts;
+  std::vector<KeyCount> cur, nxt;
+  for (int v : tree.postorder()) {
+    const Relation& rel = tree.relation(v);
+    const RootedNode& node = tree.node(v);
+    const bool is_root = v == tree.root();
+    for (size_t row = 0; row < rel.num_rows(); ++row) {
+      uint64_t key = 0;
+      if (slot_of_node[v] >= 0) {
+        key = static_cast<uint64_t>(local_assign[v][row] + 1)
+              << (8 * slot_of_node[v]);
+      }
+      cur.assign(1, KeyCount{key, 1.0});
+      bool dangling = false;
+      for (int c : node.children) {
+        const AssignPayload* cp = views[c].Find(tree.RowKeyToChild(v, c, row));
+        if (cp == nullptr || cp->empty()) {
+          dangling = true;
+          break;
+        }
+        nxt.clear();
+        for (const KeyCount& a : cur) {
+          for (const KeyCount& b : *cp) {
+            nxt.push_back({a.key | b.key, a.count * b.count});
+          }
+        }
+        cur.swap(nxt);
+      }
+      if (dangling) continue;
+      if (is_root) {
+        for (const KeyCount& e : cur) root_counts[e.key] += e.count;
+      } else {
+        MergeInto(cur, &views[v][tree.RowKeyToParent(v, row)]);
+      }
+    }
+  }
+  return root_counts;
 }
 
 }  // namespace
 
 KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
                               const KMeansOptions& options) {
+  CheckOptions(options);
   const int num_nodes = tree.num_nodes();
   const int dims = fm.num_features();
   // Feature-bearing nodes get byte slots in the coreset key.
@@ -215,89 +363,59 @@ KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
   RELBORG_CHECK(options.per_relation_k >= 1 && options.per_relation_k <= 200);
 
   // Join multiplicities weight the per-relation clustering problems.
-  std::vector<std::vector<double>> mult = ComputeRowMultiplicities(tree);
+  std::vector<std::vector<double>> mult;
+  {
+    RELBORG_TRACE_SPAN("ml/kmeans-mult", "ml", -1, -1);
+    mult = ComputeRowMultiplicities(tree);
+  }
 
   // Per-relation weighted k-means; record each row's centroid id.
   std::vector<std::vector<std::vector<double>>> local_centroids(num_nodes);
   std::vector<std::vector<int>> local_assign(num_nodes);
   for (int v : nodes_with_features) {
+    RELBORG_TRACE_SPAN("ml/kmeans-local", "ml", -1, v);
     const Relation& rel = tree.relation(v);
     const auto& feats = fm.NodeFeatures(v);
     WeightedPoints pts;
     pts.dims = static_cast<int>(feats.size());
     pts.coords.reserve(rel.num_rows() * feats.size());
-    pts.weights.reserve(rel.num_rows());
     for (size_t row = 0; row < rel.num_rows(); ++row) {
       for (const auto& [attr, f] : feats) {
         pts.coords.push_back(rel.Double(row, attr));
       }
-      pts.weights.push_back(mult[v][row]);
     }
+    pts.weights = std::move(mult[v]);
     KMeansOptions local = options;
     local.k = options.per_relation_k;
-    KMeansResult r = LloydKMeans(pts, local);
-    local_centroids[v] = std::move(r.centroids);
-    local_assign[v].resize(rel.num_rows());
-    for (size_t row = 0; row < rel.num_rows(); ++row) {
-      local_assign[v][row] =
-          Nearest(pts.Point(row), local_centroids[v], pts.dims, nullptr);
-    }
+    local_centroids[v] = RunLloyd(pts, local, &local_assign[v]).centroids;
   }
 
-  // Exact coreset weights: one factorized counting pass whose lift encodes
-  // each row's local centroid id in its relation's byte slot.
-  std::vector<FlatHashMap<AssignPayload>> views(num_nodes);
-  AssignPayload p, buf_a, buf_b;
-  for (int v : tree.postorder()) {
-    const Relation& rel = tree.relation(v);
-    const RootedNode& node = tree.node(v);
-    FlatHashMap<AssignPayload>& out = views[v];
-    for (size_t row = 0; row < rel.num_rows(); ++row) {
-      p.entries.clear();
-      uint64_t key = 0;
-      if (slot_of_node[v] >= 0) {
-        key = static_cast<uint64_t>(local_assign[v][row] + 1)
-              << (8 * slot_of_node[v]);
-      }
-      p.AddEntry(key, 1.0);
-      AssignPayload* cur = &p;
-      AssignPayload* nxt = &buf_a;
-      bool dangling = false;
-      for (int c : node.children) {
-        const AssignPayload* cp = views[c].Find(tree.RowKeyToChild(v, c, row));
-        if (cp == nullptr || cp->empty()) {
-          dangling = true;
-          break;
-        }
-        AssignMulInto(*cur, *cp, nxt);
-        cur = nxt;
-        nxt = (nxt == &buf_a) ? &buf_b : &buf_a;
-      }
-      if (dangling) continue;
-      out[tree.RowKeyToParent(v, row)].AddInPlace(*cur);
-    }
+  FlatHashMap<double> counts;
+  {
+    RELBORG_TRACE_SPAN("ml/kmeans-count", "ml", -1, -1);
+    counts = CountCoreset(tree, slot_of_node, local_assign);
   }
 
   // Decode the coreset: one weighted point per packed assignment key.
+  RELBORG_TRACE_SPAN("ml/kmeans-coreset", "ml", -1, -1);
   WeightedPoints coreset;
   coreset.dims = dims;
-  const AssignPayload* root = views[tree.root()].Find(kUnitKey);
-  if (root != nullptr) {
-    root->ForEachKey([&](uint64_t key, double weight) {
-      std::vector<double> point(dims, 0.0);
-      for (int v : nodes_with_features) {
-        int byte = static_cast<int>((key >> (8 * slot_of_node[v])) & 0xFF);
-        RELBORG_CHECK(byte > 0);  // every tuple passes every relation
-        const std::vector<double>& c = local_centroids[v][byte - 1];
-        const auto& feats = fm.NodeFeatures(v);
-        for (size_t d = 0; d < feats.size(); ++d) {
-          point[feats[d].second] = c[d];
-        }
+  coreset.coords.reserve(counts.size() * dims);
+  coreset.weights.reserve(counts.size());
+  counts.ForEach([&](uint64_t key, double weight) {
+    const size_t base = coreset.coords.size();
+    coreset.coords.resize(base + dims, 0.0);
+    for (int v : nodes_with_features) {
+      int byte = static_cast<int>((key >> (8 * slot_of_node[v])) & 0xFF);
+      RELBORG_CHECK(byte > 0);  // every tuple passes every relation
+      const std::vector<double>& c = local_centroids[v][byte - 1];
+      const auto& feats = fm.NodeFeatures(v);
+      for (size_t d = 0; d < feats.size(); ++d) {
+        coreset.coords[base + feats[d].second] = c[d];
       }
-      coreset.coords.insert(coreset.coords.end(), point.begin(), point.end());
-      coreset.weights.push_back(weight);
-    });
-  }
+    }
+    coreset.weights.push_back(weight);
+  });
 
   KMeansResult result = LloydKMeans(coreset, options);
   result.coreset_size = coreset.num_points();

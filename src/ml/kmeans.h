@@ -22,11 +22,13 @@
 
 namespace relborg {
 
+// LloydKMeans and RelationalKMeans abort (RELBORG_CHECK) unless k >= 1 and
+// max_iters >= 0.
 struct KMeansOptions {
-  int k = 5;
+  int k = 5;  // clamped to the number of points
   int max_iters = 30;
   uint64_t seed = 13;
-  // Per-relation centroid count for the relational coreset (<= 255).
+  // Per-relation centroid count for the relational coreset, 1 to 200.
   int per_relation_k = 8;
 };
 
@@ -50,7 +52,10 @@ struct WeightedPoints {
   const double* Point(size_t i) const { return coords.data() + i * dims; }
 };
 
-// Weighted Lloyd's algorithm with k-means++ style seeding.
+// Weighted Lloyd's algorithm with k-means++ style seeding. A cluster left
+// without mass is reseeded at a uniformly drawn point. Stops after
+// max_iters iterations, or early at an iteration past the first that
+// changes no assignment.
 KMeansResult LloydKMeans(const WeightedPoints& points,
                          const KMeansOptions& options);
 

@@ -1,8 +1,12 @@
 // Tests for k-means: weighted Lloyd's and the relational (Rk-means style)
 // grid coreset whose weights come from one factorized counting pass.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "baseline/materializer.h"
+#include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "ml/kmeans.h"
 #include "tests/test_util.h"
@@ -13,6 +17,154 @@ namespace {
 using testing::MakeRandomDb;
 using testing::RandomDb;
 using testing::Topology;
+
+// Reference Lloyd: the straightforward implementation over per-centroid
+// vectors, one point at a time. The library's flat, dimension-specialised
+// kernel must reproduce it bit for bit.
+namespace oracle {
+
+double Sq(double x) { return x * x; }
+
+double Dist2(const double* a, const double* b, int dims) {
+  double d = 0;
+  for (int i = 0; i < dims; ++i) d += Sq(a[i] - b[i]);
+  return d;
+}
+
+int Nearest(const double* p, const std::vector<std::vector<double>>& centroids,
+            int dims, double* dist2_out) {
+  int best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < centroids.size(); ++c) {
+    double d = Dist2(p, centroids[c].data(), dims);
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<int>(c);
+    }
+  }
+  if (dist2_out != nullptr) *dist2_out = best_d;
+  return best;
+}
+
+std::vector<std::vector<double>> Seed(const WeightedPoints& pts, int k,
+                                      Rng* rng) {
+  const size_t n = pts.num_points();
+  const int dims = pts.dims;
+  std::vector<std::vector<double>> centroids;
+  auto weight = [&](size_t i) {
+    return pts.weights.empty() ? 1.0 : pts.weights[i];
+  };
+  double total = 0;
+  for (size_t i = 0; i < n; ++i) total += weight(i);
+  double target = rng->Uniform() * total;
+  size_t first = 0;
+  for (size_t i = 0; i < n; ++i) {
+    target -= weight(i);
+    if (target <= 0) {
+      first = i;
+      break;
+    }
+  }
+  centroids.emplace_back(pts.Point(first), pts.Point(first) + dims);
+  std::vector<double> d2(n);
+  while (static_cast<int>(centroids.size()) < k) {
+    double sum = 0;
+    for (size_t i = 0; i < n; ++i) {
+      double d;
+      Nearest(pts.Point(i), centroids, dims, &d);
+      d2[i] = d * weight(i);
+      sum += d2[i];
+    }
+    if (sum <= 0) {
+      centroids.push_back(centroids.back());
+      continue;
+    }
+    double t = rng->Uniform() * sum;
+    size_t pick = n - 1;
+    for (size_t i = 0; i < n; ++i) {
+      t -= d2[i];
+      if (t <= 0) {
+        pick = i;
+        break;
+      }
+    }
+    centroids.emplace_back(pts.Point(pick), pts.Point(pick) + dims);
+  }
+  return centroids;
+}
+
+KMeansResult LloydKMeans(const WeightedPoints& pts,
+                         const KMeansOptions& options) {
+  KMeansResult result;
+  const size_t n = pts.num_points();
+  const int dims = pts.dims;
+  if (n == 0) return result;
+  const int k = std::min<int>(options.k, static_cast<int>(n));
+  Rng rng(options.seed);
+  std::vector<std::vector<double>> centroids = Seed(pts, k, &rng);
+  auto weight = [&](size_t i) {
+    return pts.weights.empty() ? 1.0 : pts.weights[i];
+  };
+  std::vector<int> assign(n, -1);
+  int it = 0;
+  for (; it < options.max_iters; ++it) {
+    bool changed = false;
+    for (size_t i = 0; i < n; ++i) {
+      int c = Nearest(pts.Point(i), centroids, dims, nullptr);
+      if (c != assign[i]) {
+        assign[i] = c;
+        changed = true;
+      }
+    }
+    if (!changed && it > 0) break;
+    std::vector<std::vector<double>> sums(k, std::vector<double>(dims, 0.0));
+    std::vector<double> mass(k, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      double w = weight(i);
+      mass[assign[i]] += w;
+      for (int d = 0; d < dims; ++d) {
+        sums[assign[i]][d] += w * pts.Point(i)[d];
+      }
+    }
+    for (int c = 0; c < k; ++c) {
+      if (mass[c] <= 0) {
+        size_t far = rng.Below(n);
+        centroids[c].assign(pts.Point(far), pts.Point(far) + dims);
+        continue;
+      }
+      for (int d = 0; d < dims; ++d) centroids[c][d] = sums[c][d] / mass[c];
+    }
+  }
+  result.centroids = std::move(centroids);
+  result.iterations = it;
+  double obj = 0;
+  for (size_t i = 0; i < n; ++i) {
+    double d;
+    Nearest(pts.Point(i), result.centroids, dims, &d);
+    obj += d * weight(i);
+  }
+  result.objective = obj;
+  return result;
+}
+
+}  // namespace oracle
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectSameBits(const KMeansResult& want, const KMeansResult& got) {
+  EXPECT_EQ(want.iterations, got.iterations);
+  EXPECT_TRUE(SameBits(want.objective, got.objective))
+      << std::hexfloat << want.objective << " vs " << got.objective;
+  ASSERT_EQ(want.centroids.size(), got.centroids.size());
+  for (size_t c = 0; c < want.centroids.size(); ++c) {
+    ASSERT_EQ(want.centroids[c].size(), got.centroids[c].size());
+    for (size_t d = 0; d < want.centroids[c].size(); ++d) {
+      EXPECT_TRUE(SameBits(want.centroids[c][d], got.centroids[c][d]))
+          << "centroid " << c << " dim " << d << ": " << std::hexfloat
+          << want.centroids[c][d] << " vs " << got.centroids[c][d];
+    }
+  }
+}
 
 WeightedPoints ThreeBlobs(int per_blob, uint64_t seed) {
   Rng rng(seed);
@@ -83,6 +235,215 @@ TEST(LloydKMeansTest, EmptyInput) {
   EXPECT_EQ(r.objective, 0.0);
 }
 
+// The point sets of the kernel-vs-oracle grid. Each reaches a different
+// branch of seeding or the update step.
+enum class Shape {
+  kUniform,     // unweighted random points
+  kWeighted,    // random points, random weights including zeros
+  kDuplicates,  // every point equal: seeding's sum <= 0 branch
+  kZeroMass,    // two weighted points plus far zero-weight ones: clusters
+                // holding only zero-weight points reseed
+};
+
+WeightedPoints MakeShape(Shape shape, int dims, uint64_t seed) {
+  Rng rng(seed);
+  WeightedPoints pts;
+  pts.dims = dims;
+  const int n = shape == Shape::kZeroMass ? 12 : 157;
+  for (int i = 0; i < n; ++i) {
+    for (int d = 0; d < dims; ++d) {
+      double x = rng.Uniform(-5, 5);
+      if (shape == Shape::kDuplicates) x = 1.25;
+      if (shape == Shape::kZeroMass) x = i < 2 ? i : 100 + rng.Uniform(0, 5);
+      pts.coords.push_back(x);
+    }
+    if (shape == Shape::kWeighted) {
+      pts.weights.push_back(static_cast<double>(rng.Below(4)) * 0.75);
+    } else if (shape == Shape::kZeroMass) {
+      pts.weights.push_back(i < 2 ? 1.0 : 0.0);
+    }
+  }
+  return pts;
+}
+
+class LloydKernelVsOracle
+    : public ::testing::TestWithParam<std::tuple<int, Shape>> {};
+
+TEST_P(LloydKernelVsOracle, BitIdentical) {
+  auto [dims, shape] = GetParam();
+  const WeightedPoints pts = MakeShape(shape, dims, 17 + dims);
+  for (int k : {1, 3, 8}) {
+    for (int max_iters : {0, 1, 30}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k
+                                        << " max_iters=" << max_iters);
+      KMeansOptions opts;
+      opts.k = k;
+      opts.max_iters = max_iters;
+      ExpectSameBits(oracle::LloydKMeans(pts, opts), LloydKMeans(pts, opts));
+      if (k == 1) continue;
+      // KMeansObjective runs the same kernel on caller-supplied centroids.
+      const KMeansResult ref = oracle::LloydKMeans(pts, opts);
+      EXPECT_TRUE(SameBits(ref.objective,
+                           KMeansObjective(pts, ref.centroids)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsAndShapes, LloydKernelVsOracle,
+    ::testing::Combine(::testing::Range(1, 7),
+                       ::testing::Values(Shape::kUniform, Shape::kWeighted,
+                                         Shape::kDuplicates,
+                                         Shape::kZeroMass)));
+
+TEST(LloydKMeansDeathTest, RejectsBadOptions) {
+  WeightedPoints pts;
+  pts.dims = 1;
+  pts.coords = {0.0, 1.0, 2.0, 3.0};
+  KMeansOptions zero_k;
+  zero_k.k = 0;
+  EXPECT_DEATH(LloydKMeans(pts, zero_k), "CHECK failed");
+  KMeansOptions negative_iters;
+  negative_iters.max_iters = -1;
+  EXPECT_DEATH(LloydKMeans(pts, negative_iters), "CHECK failed");
+}
+
+TEST(RelationalKMeansDeathTest, RejectsBadOptions) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/80);
+  FeatureMap fm(db.query, db.features);
+  RootedTree tree = db.query.Root(0);
+  KMeansOptions zero_k;
+  zero_k.k = 0;
+  EXPECT_DEATH(RelationalKMeans(tree, fm, zero_k), "CHECK failed");
+  KMeansOptions negative_iters;
+  negative_iters.max_iters = -1;
+  EXPECT_DEATH(RelationalKMeans(tree, fm, negative_iters), "CHECK failed");
+}
+
+// Rk-means on Retailer with default options, as hex floats: any change to
+// the arithmetic order of seeding, Lloyd or the counting pass shows here. GCC
+// contracts a*b+c into a fused multiply-add wherever the target has FMA
+// (-march=native on most hosts), which moves the last bits of the data
+// generator and of k-means alike, so there is one table per case.
+struct RetailerGolden {
+  uint64_t seed;
+  int iterations;
+  size_t coreset_size;
+  double objective;
+  std::vector<std::vector<double>> centroids;
+};
+
+TEST(RelationalKMeansGolden, RetailerBitIdentical) {
+  const RetailerGolden goldens[] = {
+#if defined(__FMA__)
+      {1, 7, 4872, 0x1.af7ff4d0952d2p+24,
+       {
+        {0x1.e2aebbc748348p+4, 0x1.13ca90c0008fbp+6, 0x1.a13c0df86ad92p+5,
+         0x1.0b7b2f64ad5ccp+4, 0x1.18e0b30f69dbdp+6, 0x1.4b060ada0493fp+5,
+         0x1.798663a365872p+4, 0x1.c0f7fd124db69p+5, 0x1.660805c2fa8adp+5,
+         0x1.9477c31b2ed87p+3, 0x1.03d35b56a687dp-2, 0x1.23f54a414cdcfp+3},
+        {0x1.d7eb8825fd8a6p+4, 0x1.41c8ccbc0ffbp+7, 0x1.bd118ff421ab5p+6,
+         0x1.de16dde718efcp+3, 0x1.72888ab64fb6cp+4, 0x1.35aeae08bb8bcp+5,
+         0x1.02ba5feab981ap+3, 0x1.e4333a735298ap+5, 0x1.8a72bf4b2c3b6p+5,
+         0x1.86b9ac8b851cep+3, 0x1.0c2169d7e09e9p-2, 0x1.44ff5367c5e5fp+3},
+        {0x1.e2a32afeee781p+4, 0x1.b8a6ab120cbddp+6, 0x1.04828802be0f1p+5,
+         0x1.ecc179e83979ap+3, 0x1.d0764297bdc9bp+4, 0x1.3046be5daaab1p+5,
+         0x1.43049898e93c2p+3, 0x1.dcfd73f8ef5bep+5, 0x1.8254a29cc2988p+5,
+         0x1.7318e0bc4a91bp+3, 0x1.02a521f94b5b8p-2, 0x1.4db9631c84b03p+3},
+        {0x1.e548f48263feep+4, 0x1.7c6bc232ffb1dp+7, 0x1.ec34e97056ffp+5,
+         0x1.7e094d90114a7p+3, 0x1.37beab1f0215ap+5, 0x1.4677ef7e3ce63p+5,
+         0x1.9fa7ed77233c6p+3, 0x1.a85c7f451c758p+5, 0x1.4d349464f95dcp+5,
+         0x1.8a8aad1f317cbp+3, 0x1.053a35c0e44d4p-2, 0x1.53e91b965f0efp+3},
+        {0x1.ded34919e0a73p+4, 0x1.5d239d4001c21p+5, 0x1.ec4be2572958cp+5,
+         0x1.f9eacdd18efb7p+3, 0x1.9662527f22ad8p+4, 0x1.44f63fcd939fdp+5,
+         0x1.1fccb1015f1fp+3, 0x1.8e9c2611dd718p+5, 0x1.32534ec1eb81bp+5,
+         0x1.8abf1efe37a74p+3, 0x1.f9c401f73e166p-3, 0x1.07471576f3561p+3}}},
+      {2, 5, 4334, 0x1.8a8c31a5bec49p+24,
+       {
+        {0x1.f2177b2ac703dp+4, 0x1.814e2deed1223p+7, 0x1.83c2187229d7ap+6,
+         0x1.b3a99fca21539p+3, 0x1.53e2fa49dee94p+5, 0x1.24c45f133a734p+5,
+         0x1.f978d38c43e59p+3, 0x1.67a522d12e5ffp+5, 0x1.0a27801293a78p+5,
+         0x1.839ec5c8eb4a1p+3, 0x1.0dc81c7d9daddp-2, 0x1.80adf764498a8p+3},
+        {0x1.e3adcdaea62c1p+4, 0x1.4e41aa85a1b7cp+4, 0x1.af3124436b18cp+6,
+         0x1.77b3046b523eap+4, 0x1.06c4bd7a460dfp+6, 0x1.d96cc554b1b9ep+4,
+         0x1.559e6055fd2b7p+4, 0x1.73d295dc80e5p+5, 0x1.16c698154b6f1p+5,
+         0x1.72e925b7b9701p+3, 0x1.071dc9ba9952dp-2, 0x1.d8ad05f63ccf4p+2},
+        {0x1.f11905ebd9ba3p+4, 0x1.debdfaf0290d4p+6, 0x1.f7c9c7598dbcep+6,
+         0x1.063e2238f1cfap+4, 0x1.8e24a979ebb1fp+5, 0x1.0d03ca03da818p+5,
+         0x1.0f7a0cfe60389p+4, 0x1.7cd8b5d51f286p+5, 0x1.1f9be47a5ef2p+5,
+         0x1.90f021e40addcp+3, 0x1.08c79faddb30dp-2, 0x1.34ef5124a3138p+3},
+        {0x1.ec07727d3261fp+4, 0x1.1e4cf7df525afp+7, 0x1.9524eba8ccb5fp+5,
+         0x1.f643c315d24e4p+3, 0x1.6d44ab17ba7f5p+5, 0x1.2766b4a5419a1p+5,
+         0x1.dfe6995889164p+3, 0x1.be1698bd59295p+5, 0x1.63ecfe82806b9p+5,
+         0x1.89c0063e3511p+3, 0x1.e0d759b6ad40ap-3, 0x1.4cba2f5c78b8ep+3},
+        {0x1.f08a147fcafc3p+4, 0x1.39d86380d7e4ap+6, 0x1.e2d751fbb29a6p+5,
+         0x1.3aa379fce99aap+4, 0x1.aacc3b78f0138p+5, 0x1.dfce2caecc972p+4,
+         0x1.43c51fc7e80dcp+4, 0x1.a2c21c9b618aap+5, 0x1.47853216b98fep+5,
+         0x1.704eddc09a39bp+3, 0x1.f43eebb43c6bbp-3, 0x1.0f657f4ddc584p+3}}},
+#else
+      {1, 7, 4872, 0x1.af7ff4d0952cdp+24,
+       {
+        {0x1.e2aebbc74834ap+4, 0x1.13ca90c0008fbp+6, 0x1.a13c0df86ad92p+5,
+         0x1.0b7b2f64ad5ccp+4, 0x1.18e0b30f69dbdp+6, 0x1.4b060ada0493fp+5,
+         0x1.798663a365872p+4, 0x1.c0f7fd124db69p+5, 0x1.660805c2fa8acp+5,
+         0x1.9477c31b2ed87p+3, 0x1.03d35b56a687dp-2, 0x1.23f54a414cdcfp+3},
+        {0x1.d7eb8825fd8a7p+4, 0x1.41c8ccbc0ffbp+7, 0x1.bd118ff421ab5p+6,
+         0x1.de16dde718efcp+3, 0x1.72888ab64fb6cp+4, 0x1.35aeae08bb8bcp+5,
+         0x1.02ba5feab981ap+3, 0x1.e4333a735298ap+5, 0x1.8a72bf4b2c3b6p+5,
+         0x1.86b9ac8b851dp+3, 0x1.0c2169d7e09e9p-2, 0x1.44ff5367c5e5fp+3},
+        {0x1.e2a32afeee781p+4, 0x1.b8a6ab120cbdep+6, 0x1.04828802be0f2p+5,
+         0x1.ecc179e83979ap+3, 0x1.d0764297bdc9bp+4, 0x1.3046be5daaab1p+5,
+         0x1.43049898e93c2p+3, 0x1.dcfd73f8ef5bcp+5, 0x1.8254a29cc2988p+5,
+         0x1.7318e0bc4a91bp+3, 0x1.02a521f94b5b7p-2, 0x1.4db9631c84b03p+3},
+        {0x1.e548f48263feep+4, 0x1.7c6bc232ffb1dp+7, 0x1.ec34e97056ffp+5,
+         0x1.7e094d90114a7p+3, 0x1.37beab1f0215ap+5, 0x1.4677ef7e3ce63p+5,
+         0x1.9fa7ed77233c6p+3, 0x1.a85c7f451c758p+5, 0x1.4d349464f95dcp+5,
+         0x1.8a8aad1f317cbp+3, 0x1.053a35c0e44d4p-2, 0x1.53e91b965f0efp+3},
+        {0x1.ded34919e0a73p+4, 0x1.5d239d4001c21p+5, 0x1.ec4be2572958cp+5,
+         0x1.f9eacdd18efb7p+3, 0x1.9662527f22ad8p+4, 0x1.44f63fcd939fdp+5,
+         0x1.1fccb1015f1fp+3, 0x1.8e9c2611dd718p+5, 0x1.32534ec1eb81bp+5,
+         0x1.8abf1efe37a74p+3, 0x1.f9c401f73e164p-3, 0x1.07471576f3561p+3}}},
+      {2, 5, 4334, 0x1.8a8c31a5bec48p+24,
+       {
+        {0x1.f2177b2ac703dp+4, 0x1.814e2deed1222p+7, 0x1.83c2187229d7ap+6,
+         0x1.b3a99fca21539p+3, 0x1.53e2fa49dee94p+5, 0x1.24c45f133a734p+5,
+         0x1.f978d38c43e59p+3, 0x1.67a522d12e6p+5, 0x1.0a27801293a79p+5,
+         0x1.839ec5c8eb4ap+3, 0x1.0dc81c7d9daddp-2, 0x1.80adf764498a8p+3},
+        {0x1.e3adcdaea62c1p+4, 0x1.4e41aa85a1b7cp+4, 0x1.af3124436b18cp+6,
+         0x1.77b3046b523ecp+4, 0x1.06c4bd7a460dfp+6, 0x1.d96cc554b1b9ep+4,
+         0x1.559e6055fd2b7p+4, 0x1.73d295dc80e5p+5, 0x1.16c698154b6f1p+5,
+         0x1.72e925b7b9701p+3, 0x1.071dc9ba9952cp-2, 0x1.d8ad05f63ccf4p+2},
+        {0x1.f11905ebd9ba3p+4, 0x1.debdfaf0290d4p+6, 0x1.f7c9c7598dbcep+6,
+         0x1.063e2238f1cfap+4, 0x1.8e24a979ebb1fp+5, 0x1.0d03ca03da819p+5,
+         0x1.0f7a0cfe60389p+4, 0x1.7cd8b5d51f287p+5, 0x1.1f9be47a5ef1ep+5,
+         0x1.90f021e40addbp+3, 0x1.08c79faddb30dp-2, 0x1.34ef5124a3138p+3},
+        {0x1.ec07727d3261fp+4, 0x1.1e4cf7df525afp+7, 0x1.9524eba8ccb5fp+5,
+         0x1.f643c315d24e4p+3, 0x1.6d44ab17ba7f5p+5, 0x1.2766b4a5419a1p+5,
+         0x1.dfe6995889164p+3, 0x1.be1698bd59296p+5, 0x1.63ecfe82806b9p+5,
+         0x1.89c0063e3510fp+3, 0x1.e0d759b6ad40ap-3, 0x1.4cba2f5c78b8ep+3},
+        {0x1.f08a147fcafc2p+4, 0x1.39d86380d7e49p+6, 0x1.e2d751fbb29a6p+5,
+         0x1.3aa379fce99aap+4, 0x1.aacc3b78f0138p+5, 0x1.dfce2caecc972p+4,
+         0x1.43c51fc7e80dbp+4, 0x1.a2c21c9b618abp+5, 0x1.47853216b98fep+5,
+         0x1.704eddc09a39bp+3, 0x1.f43eebb43c6bbp-3, 0x1.0f657f4ddc584p+3}}},
+#endif
+  };
+  for (const RetailerGolden& g : goldens) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << g.seed);
+    GenOptions gen;
+    gen.scale = 0.01;
+    gen.seed = g.seed;
+    const Dataset ds = MakeRetailer(gen);
+    const FeatureMap fm(ds.query, ds.features);
+    const KMeansResult r = RelationalKMeans(ds.RootAtFact(), fm, {});
+    EXPECT_EQ(r.coreset_size, g.coreset_size);
+    KMeansResult want;
+    want.iterations = g.iterations;
+    want.objective = g.objective;
+    want.centroids = g.centroids;
+    ExpectSameBits(want, r);
+  }
+}
+
 class RelationalKMeansProperty
     : public ::testing::TestWithParam<std::tuple<uint64_t, Topology>> {};
 
@@ -91,22 +452,31 @@ TEST_P(RelationalKMeansProperty, CoresetWeightsSumToJoinSize) {
   RandomDb db = MakeRandomDb(seed, topology, /*fact_rows=*/80);
   FeatureMap fm(db.query, db.features);
   RootedTree tree = db.query.Root(0);
+  // As many local centroids as the largest relation has rows: every row
+  // keeps its own centroid, so the coreset is the join itself, and one
+  // centroid over it is the join's column means.
   KMeansOptions opts;
-  opts.k = 3;
-  opts.per_relation_k = 4;
+  opts.k = 1;
+  for (int v = 0; v < tree.num_nodes(); ++v) {
+    opts.per_relation_k = std::max<int>(
+        opts.per_relation_k, static_cast<int>(tree.relation(v).num_rows()));
+  }
   KMeansResult r = RelationalKMeans(tree, fm, opts);
-  double join_count = CountJoin(tree);
-  if (join_count == 0) {
-    EXPECT_EQ(r.coreset_size, 0u);
+  DataMatrix data = MaterializeJoin(tree, fm);
+  EXPECT_EQ(r.coreset_size, data.num_rows());
+  if (data.num_rows() == 0) {
+    EXPECT_TRUE(r.centroids.empty());
     return;
   }
-  EXPECT_GT(r.coreset_size, 0u);
-  // The coreset objective summed over weights uses all join tuples once:
-  // verify via the objective identity on a 1-centroid run.
-  KMeansOptions one = opts;
-  one.k = 1;
-  KMeansResult single = RelationalKMeans(tree, fm, one);
-  EXPECT_GT(single.coreset_size, 0u);
+  ASSERT_EQ(r.centroids.size(), 1u);
+  ASSERT_EQ(static_cast<int>(r.centroids[0].size()), data.num_cols());
+  for (int d = 0; d < data.num_cols(); ++d) {
+    double mean = 0;
+    for (size_t i = 0; i < data.num_rows(); ++i) mean += data.At(i, d);
+    mean /= static_cast<double>(data.num_rows());
+    EXPECT_NEAR(r.centroids[0][d], mean, 1e-9 * std::max(1.0, std::abs(mean)))
+        << "dim " << d;
+  }
 }
 
 TEST_P(RelationalKMeansProperty, CoresetObjectiveNearFullLloyd) {
