@@ -11,7 +11,8 @@
 //
 // The paper reports cumulative speedups up to ~128x (4 vCPUs); sharing is
 // the dominant step there and here (it removes the factor of #aggregates).
-// Our container has 2 cores, so the parallel step's headroom is ~2x.
+// The parallel step's headroom is bounded by the thread count
+// (RELBORG_THREADS, default: the host's hardware concurrency).
 #include <algorithm>
 #include <cstdio>
 #include <string>

@@ -1,8 +1,11 @@
 #include "core/covar_engine.h"
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "ring/covar_arena.h"
 #include "util/check.h"
 #include "util/flat_hash_map.h"
@@ -25,54 +28,227 @@ const std::vector<Predicate>& NodeFilters(const FilterSet& filters, int v) {
 
 using CovarView = CovarArenaView;
 
-// Plan-time kernel metadata per join-tree node: the feature scope of each
-// step of the node's child-product chain. Payloads are nonzero only on
-// their subtree's features, so the scoped kernels skip the structural
-// zeros; the scopes depend on the tree and the feature map only — never on
-// rows or the thread count.
-struct NodeKernelPlan {
+// Plan-time kernel metadata of one product chain dst += lift * c_1 * ... *
+// c_k: the feature scope of each step. Payloads are nonzero only on their
+// subtree's features, so the scoped kernels skip the structural zeros; the
+// scopes depend on the tree and the feature map only — never on rows or the
+// thread count.
+struct ChainScopes {
   // chain[i] = scope after folding child i into the running product
-  // (chain[0] additionally covers the node's own lifted features). Only
-  // used with two or more children.
+  // (chain[0] additionally covers the lifted features). Only used with two
+  // or more children.
   std::vector<CovarScope> chain;
-  // Single-child nodes: scope of the child's view for the fused add.
+  // Single-child chains: scope of the child's payload for the fused add.
   CovarScope single;
 };
 
-std::vector<NodeKernelPlan> BuildKernelPlans(const RootedTree& tree,
-                                             const FeatureMap& fm) {
+ChainScopes MakeChainScopes(int n, std::vector<int> lifted,
+                            const std::vector<std::vector<int>>& children) {
+  ChainScopes scopes;
+  if (children.size() == 1) {
+    scopes.single = CovarScope::Over(n, children[0]);
+  } else if (children.size() >= 2) {
+    for (const std::vector<int>& child : children) {
+      lifted.insert(lifted.end(), child.begin(), child.end());
+      scopes.chain.push_back(CovarScope::Over(n, lifted));
+    }
+  }
+  return scopes;
+}
+
+// Grouped scan of one node (see ComputeGroupedNodeView). A child whose join
+// key contains the node's parent key can ANCHOR the grouping: rows with the
+// same anchor key share the parent key and the payload of every OUTER child
+// (one whose key is a subset of the anchor's). The other children are
+// INNER. The sum over a group's rows of lift(row) * inner payloads lives on
+// the compact feature set own ∪ inner subtrees, of width `width`.
+struct GroupPlan {
+  int anchor = -1;         // child node id; -1: per-row path
+  std::vector<int> outer;  // child node ids, in node.children order
+  std::vector<int> inner;  // child node ids, in node.children order
+  int width = 0;
+  // Compact index of each of the node's lifted features (NodeFeatures order).
+  std::vector<int> own;
+  // Compact span entry -> entry of the full-width span.
+  std::vector<size_t> gather;
+  ChainScopes inner_chain;              // lift * inner children, compact
+  std::vector<CovarScope> outer_chain;  // after each outer child, full width
+};
+
+struct NodePlan {
+  ChainScopes rows;  // per-row product over all children
+  GroupPlan group;
+};
+
+std::vector<int> SortedAttrs(std::vector<int> attrs) {
+  std::sort(attrs.begin(), attrs.end());
+  return attrs;
+}
+
+bool ContainsAll(const std::vector<int>& sorted, const std::vector<int>& sub) {
+  return std::includes(sorted.begin(), sorted.end(), sub.begin(), sub.end());
+}
+
+// Picks the anchor with the most outer children, derived from join
+// attributes alone. A node is grouped only when that is at least two, so a
+// group shares a product of payloads; a star over distinct single keys
+// (Yelp, TPC-DS) keeps the per-row scan.
+GroupPlan BuildGroupPlan(const RootedTree& tree, int n, int v,
+                         const std::vector<int>& own,
+                         const std::vector<std::vector<int>>& subtree) {
+  GroupPlan plan;
+  const RootedNode& node = tree.node(v);
+  const std::vector<int> parent_key = SortedAttrs(node.key_attrs);
+  auto key_of = [&](int c) {
+    return SortedAttrs(tree.node(c).parent_key_attrs);
+  };
+  for (int a : node.children) {
+    const std::vector<int> anchor_key = key_of(a);
+    if (!ContainsAll(anchor_key, parent_key)) continue;
+    std::vector<int> outer;
+    for (int c : node.children) {
+      if (ContainsAll(anchor_key, key_of(c))) outer.push_back(c);
+    }
+    if (outer.size() >= 2 && outer.size() > plan.outer.size()) {
+      plan.anchor = a;
+      plan.outer = std::move(outer);
+    }
+  }
+  if (plan.anchor < 0) return plan;
+
+  std::vector<int> compact = own;
+  for (int c : node.children) {
+    if (std::find(plan.outer.begin(), plan.outer.end(), c) != plan.outer.end()) {
+      continue;
+    }
+    plan.inner.push_back(c);
+    compact.insert(compact.end(), subtree[c].begin(), subtree[c].end());
+  }
+  std::sort(compact.begin(), compact.end());
+  compact.erase(std::unique(compact.begin(), compact.end()), compact.end());
+  plan.width = static_cast<int>(compact.size());
+  auto to_compact = [&](const std::vector<int>& features) {
+    std::vector<int> out;
+    for (int f : features) {
+      out.push_back(static_cast<int>(
+          std::lower_bound(compact.begin(), compact.end(), f) -
+          compact.begin()));
+    }
+    return out;
+  };
+  plan.own = to_compact(own);
+  std::vector<std::vector<int>> inner_scopes;
+  for (int c : plan.inner) inner_scopes.push_back(to_compact(subtree[c]));
+  plan.inner_chain = MakeChainScopes(plan.width, plan.own, inner_scopes);
+
+  // Compact layout: count, sums, then the packed upper triangle row by row.
+  plan.gather.push_back(kCovarCountOffset);
+  for (int f : compact) plan.gather.push_back(kCovarSumOffset + f);
+  for (int a = 0; a < plan.width; ++a) {
+    for (int b = a; b < plan.width; ++b) {
+      plan.gather.push_back(CovarQuadOffset(n) +
+                            UpperTriIndex(n, compact[a], compact[b]));
+    }
+  }
+  for (int c : plan.outer) {
+    compact.insert(compact.end(), subtree[c].begin(), subtree[c].end());
+    plan.outer_chain.push_back(CovarScope::Over(n, compact));
+  }
+  return plan;
+}
+
+std::vector<NodePlan> BuildNodePlans(const RootedTree& tree,
+                                     const FeatureMap& fm) {
   const int n = fm.num_features();
   std::vector<std::vector<int>> subtree(tree.num_nodes());
-  std::vector<NodeKernelPlan> plans(tree.num_nodes());
+  std::vector<NodePlan> plans(tree.num_nodes());
   for (int v : tree.postorder()) {
     const RootedNode& node = tree.node(v);
     std::vector<int> own;
     for (const auto& [attr, f] : fm.NodeFeatures(v)) own.push_back(f);
-    const size_t m = node.children.size();
-    if (m == 1) {
-      plans[v].single = CovarScope::Over(n, subtree[node.children[0]]);
-    } else if (m >= 2) {
-      std::vector<int> acc = own;
-      for (size_t ci = 0; ci < m; ++ci) {
-        const std::vector<int>& child = subtree[node.children[ci]];
-        acc.insert(acc.end(), child.begin(), child.end());
-        plans[v].chain.push_back(CovarScope::Over(n, acc));
-      }
-    }
+    std::vector<std::vector<int>> children;
+    for (int c : node.children) children.push_back(subtree[c]);
+    plans[v].rows = MakeChainScopes(n, own, children);
+    plans[v].group = BuildGroupPlan(tree, n, v, own, subtree);
     std::vector<int>& scope = subtree[v];
     scope = std::move(own);
-    for (int c : node.children) {
-      scope.insert(scope.end(), subtree[c].begin(), subtree[c].end());
+    for (const std::vector<int>& child : children) {
+      scope.insert(scope.end(), child.begin(), child.end());
     }
   }
   return plans;
 }
 
-// Computes the view of node v given its children's views. If `row_begin` /
-// `row_end` restrict the scan, only that partition contributes (used for
-// domain parallelism over the root).
+// Ring products restricted to a step's scope (contiguous dense kernels once
+// the scope covers all features).
+void MulInScope(const CovarScope& scope, const double* a, const double* b,
+                double* dst) {
+  if (scope.IsDense()) {
+    CovarSpanMul(scope.n, a, b, dst);
+  } else {
+    CovarSpanMulScoped(scope, a, b, dst);
+  }
+}
+
+void MulAddInScope(const CovarScope& scope, const double* a, const double* b,
+                   double* dst) {
+  if (scope.IsDense()) {
+    CovarSpanMulAdd(scope.n, a, b, dst);
+  } else {
+    CovarSpanMulAddScoped(scope, a, b, dst);
+  }
+}
+
+// dst += lift(feats) * spans[0] * ... * spans[k - 1] at width n, each step
+// restricted to its scope. `scratch` holds one intermediate per step but the
+// last (step i writes scratch[i] with the SAME scope every time, so entries
+// outside that scope stay at their zero initialization — the invariant the
+// scoped kernels rely on). With zero or one span the fused kernel needs no
+// intermediate at all.
+void LiftProductAdd(int n, const ChainScopes& scopes,
+                    const std::vector<std::pair<int, double>>& feats,
+                    const std::vector<const double*>& spans,
+                    std::vector<std::vector<double>>* scratch, double* dst) {
+  const size_t k = spans.size();
+  if (k == 0) {
+    // Leaf: pure sparse update, O(#feats^2) per row.
+    CovarSpanLiftMulAdd(n, feats.data(), feats.size(), /*sign=*/1.0, nullptr,
+                        dst);
+  } else if (k == 1) {
+    if (scopes.single.IsDense()) {
+      CovarSpanLiftMulAdd(n, feats.data(), feats.size(), /*sign=*/1.0,
+                          spans[0], dst);
+    } else {
+      CovarSpanLiftMulAddScoped(n, scopes.single, feats.data(), feats.size(),
+                                /*sign=*/1.0, spans[0], dst);
+    }
+  } else {
+    // Fold the sparse lift into the first child, chain the middle
+    // children, and fuse the last product into the accumulator.
+    std::vector<std::vector<double>>& s = *scratch;
+    if (scopes.chain[0].IsDense()) {
+      CovarSpanLiftMul(n, feats.data(), feats.size(), /*sign=*/1.0, spans[0],
+                       s[0].data());
+    } else {
+      CovarSpanLiftMulScoped(n, scopes.chain[0], feats.data(), feats.size(),
+                             /*sign=*/1.0, spans[0], s[0].data());
+    }
+    for (size_t ci = 1; ci + 1 < k; ++ci) {
+      MulInScope(scopes.chain[ci], s[ci - 1].data(), spans[ci], s[ci].data());
+    }
+    MulAddInScope(scopes.chain[k - 1], s[k - 2].data(), spans[k - 1], dst);
+  }
+}
+
+std::vector<std::vector<double>> ChainScratch(size_t steps, size_t stride) {
+  return std::vector<std::vector<double>>(steps >= 2 ? steps - 1 : 0,
+                                          std::vector<double>(stride, 0.0));
+}
+
+// Computes the view of node v given its children's views, one row at a
+// time over [row_begin, row_end) (a partition of v's rows).
 void ComputeCovarNodeView(const RootedTree& tree, const FeatureMap& fm,
-                          const FilterSet& filters, const NodeKernelPlan& plan,
+                          const FilterSet& filters, const ChainScopes& scopes,
                           int v, const std::vector<CovarView>& views,
                           size_t row_begin, size_t row_end, CovarView* out) {
   const Relation& rel = tree.relation(v);
@@ -80,19 +256,13 @@ void ComputeCovarNodeView(const RootedTree& tree, const FeatureMap& fm,
   const std::vector<Predicate>& preds = NodeFilters(filters, v);
   const auto& feats = fm.NodeFeatures(v);
   const int n = fm.num_features();
-  const size_t stride = CovarStride(n);
   out->Init(n);
 
   const size_t num_children = node.children.size();
   std::vector<std::pair<int, double>> feat_vals(feats.size());
   std::vector<const double*> child_spans(num_children);
-  // One scratch intermediate per chain step (step i writes scratch[i] with
-  // the SAME scope on every row, so entries outside that scope stay at
-  // their zero initialization — the invariant the scoped kernels rely on).
-  // With zero or one child the fused kernel needs no intermediate at all.
-  std::vector<std::vector<double>> scratch(
-      num_children >= 2 ? num_children - 1 : 0,
-      std::vector<double>(stride, 0.0));
+  std::vector<std::vector<double>> scratch =
+      ChainScratch(num_children, CovarStride(n));
   for (size_t row = row_begin; row < row_end; ++row) {
     if (!preds.empty() && !RowPasses(rel, row, preds)) continue;
     bool dangling = false;
@@ -109,95 +279,190 @@ void ComputeCovarNodeView(const RootedTree& tree, const FeatureMap& fm,
     for (size_t k = 0; k < feats.size(); ++k) {
       feat_vals[k] = {feats[k].second, rel.Double(row, feats[k].first)};
     }
-    double* dst = out->GetOrAdd(tree.RowKeyToParent(v, row));
-    if (num_children == 0) {
-      // Leaf: pure sparse update, O(#feats^2) per row.
-      CovarSpanLiftMulAdd(n, feat_vals.data(), feat_vals.size(), /*sign=*/1.0,
-                          nullptr, dst);
-    } else if (num_children == 1) {
-      // One fused kernel, no intermediate at all.
-      if (plan.single.IsDense()) {
-        CovarSpanLiftMulAdd(n, feat_vals.data(), feat_vals.size(),
-                            /*sign=*/1.0, child_spans[0], dst);
-      } else {
-        CovarSpanLiftMulAddScoped(n, plan.single, feat_vals.data(),
-                                  feat_vals.size(), /*sign=*/1.0,
-                                  child_spans[0], dst);
-      }
-    } else {
-      // Fold the sparse lift into the first child, chain the middle
-      // children, and fuse the last product into the accumulator — every
-      // step restricted to its live feature scope (contiguous dense
-      // kernels once a step's scope covers all features).
-      if (plan.chain[0].IsDense()) {
-        CovarSpanLiftMul(n, feat_vals.data(), feat_vals.size(), /*sign=*/1.0,
-                         child_spans[0], scratch[0].data());
-      } else {
-        CovarSpanLiftMulScoped(n, plan.chain[0], feat_vals.data(),
-                               feat_vals.size(), /*sign=*/1.0, child_spans[0],
-                               scratch[0].data());
-      }
-      for (size_t ci = 1; ci + 1 < num_children; ++ci) {
-        if (plan.chain[ci].IsDense()) {
-          CovarSpanMul(n, scratch[ci - 1].data(), child_spans[ci],
-                       scratch[ci].data());
-        } else {
-          CovarSpanMulScoped(plan.chain[ci], scratch[ci - 1].data(),
-                             child_spans[ci], scratch[ci].data());
-        }
-      }
-      if (plan.chain[num_children - 1].IsDense()) {
-        CovarSpanMulAdd(n, scratch[num_children - 2].data(),
-                        child_spans[num_children - 1], dst);
-      } else {
-        CovarSpanMulAddScoped(plan.chain[num_children - 1],
-                              scratch[num_children - 2].data(),
-                              child_spans[num_children - 1], dst);
-      }
-    }
+    LiftProductAdd(n, scopes, feat_vals, child_spans, &scratch,
+                   out->GetOrAdd(tree.RowKeyToParent(v, row)));
   }
 }
 
-CovarMatrix ComputeSharedCovar(const RootedTree& tree, const FeatureMap& fm,
-                               const FilterSet& filters, bool parallel,
-                               const ExecPolicy& policy) {
-  const int num_nodes = tree.num_nodes();
-  const int n = fm.num_features();
-  std::vector<CovarView> views(num_nodes);
-  const std::vector<NodeKernelPlan> plans = BuildKernelPlans(tree, fm);
+// Folds one partition's partial view into *out (partials arrive in
+// ascending partition order; each span folds with one contiguous add).
+void MergeCovarPartial(CovarView* out, CovarView* partial) {
+  const size_t stride = out->stride();
+  partial->ForEach([&](uint64_t key, const double* span) {
+    CovarSpanAdd(stride, out->GetOrAdd(key), span);
+  });
+}
 
-  if (!parallel) {
-    for (int v : tree.postorder()) {
-      ComputeCovarNodeView(tree, fm, filters, plans[v], v, views, 0,
-                           tree.relation(v).num_rows(), &views[v]);
+// Grouped scan of node v. Every row with the same anchor key shares the
+// parent key and the outer children's payloads, so by distributivity
+//
+//   SUM_r lift(r) * inner(r) * outer  ==  (SUM_r lift(r) * inner(r)) * outer
+//
+// and the full-width outer products run once per group instead of once per
+// row, on a compact inner sum. No hash table beyond the views: the group id
+// of a row is the anchor view's slot id of its key.
+//  1. Map each row to its group over the row partitions (filtered rows and
+//     rows without an anchor partner get none).
+//  2. Stable counting sort of the grouped rows by group id.
+//  3. Scan the groups over partitions cut at fixed grouped-row offsets (a
+//     group belongs to the partition holding its first row, so boundaries
+//     depend on the per-group row counts and the grain only), each group
+//     summed in row order, partials merged in ascending order.
+// Every step is independent of the thread count, so the result is
+// bit-identical for every ExecPolicy{N >= 1}.
+void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
+                            const FeatureMap& fm, const FilterSet& filters,
+                            const GroupPlan& plan, int v,
+                            const std::vector<CovarView>& views,
+                            CovarView* out) {
+  RELBORG_TRACE_SPAN("core/covar-group", "core", -1, v);
+  const Relation& rel = tree.relation(v);
+  const std::vector<Predicate>& preds = NodeFilters(filters, v);
+  const size_t rows = rel.num_rows();
+  RELBORG_CHECK(rows < CovarView::kNoSlot);
+  const int anchor = plan.anchor;
+  const CovarView& anchor_view = views[anchor];
+
+  std::vector<uint32_t> group_of(rows);
+  const size_t row_parts = ctx.NumPartitions(rows);
+  ctx.ParallelFor(row_parts, [&](size_t p) {
+    const std::pair<size_t, size_t> b =
+        ExecContext::PartitionBounds(rows, row_parts, p);
+    for (size_t row = b.first; row < b.second; ++row) {
+      group_of[row] =
+          !preds.empty() && !RowPasses(rel, row, preds)
+              ? CovarView::kNoSlot
+              : anchor_view.FindSlot(tree.RowKeyToChild(v, anchor, row));
     }
-  } else {
-    // Two-level parallel plan: independent view groups (same depth) run
-    // concurrently, and each node's scan is domain-parallel over fixed
-    // partitions via the nest-safe ParallelFor. Partition boundaries and
-    // merge order never depend on the thread count, so the result is
-    // bit-identical for every ExecPolicy{N >= 1}.
-    ExecContext ctx(policy);
-    const size_t stride = CovarStride(n);
-    for (const std::vector<int>& group : IndependentViewGroups(tree)) {
-      ctx.ParallelFor(group.size(), [&](size_t idx) {
-        int v = group[idx];
-        views[v].Init(n);
-        PartitionedScan<CovarView>(
-            ctx, tree.relation(v).num_rows(), &views[v],
-            [&](size_t begin, size_t end, CovarView* acc) {
-              ComputeCovarNodeView(tree, fm, filters, plans[v], v, views,
-                                   begin, end, acc);
-            },
-            [&](CovarView* out, CovarView* partial) {
-              // Partials arrive in ascending partition order; each span
-              // folds with one contiguous add.
-              partial->ForEach([&](uint64_t key, const double* span) {
-                CovarSpanAdd(stride, out->GetOrAdd(key), span);
-              });
-            });
-      });
+  });
+
+  // Group g's rows are order[start[g] .. start[g + 1]), ascending.
+  const size_t num_groups = anchor_view.arena().num_slots();
+  std::vector<uint32_t> start(num_groups + 1, 0);
+  for (uint32_t g : group_of) {
+    if (g != CovarView::kNoSlot) ++start[g + 1];
+  }
+  for (size_t g = 0; g < num_groups; ++g) start[g + 1] += start[g];
+  std::vector<uint32_t> order(start[num_groups]);
+  for (size_t row = 0; row < rows; ++row) {
+    const uint32_t g = group_of[row];
+    if (g != CovarView::kNoSlot) order[start[g]++] = static_cast<uint32_t>(row);
+  }
+  // The fill advanced each start[g] to its group's end; shift back.
+  for (size_t g = num_groups; g > 0; --g) start[g] = start[g - 1];
+  start[0] = 0;
+
+  const int n = fm.num_features();
+  const auto& feats = fm.NodeFeatures(v);
+  const size_t compact_stride = CovarStride(plan.width);
+  // First group whose first row sits at or after grouped-row `offset`.
+  auto group_at = [&](size_t offset) {
+    return static_cast<size_t>(
+        std::lower_bound(start.begin(), start.begin() + num_groups, offset) -
+        start.begin());
+  };
+  auto scan_groups = [&](size_t begin, size_t end, CovarView* acc) {
+    acc->Init(n);
+    std::vector<std::pair<int, double>> feat_vals(feats.size());
+    std::vector<std::vector<double>> inner(
+        plan.inner.size(), std::vector<double>(compact_stride));
+    std::vector<const double*> inner_spans(plan.inner.size());
+    for (size_t i = 0; i < inner.size(); ++i) inner_spans[i] = inner[i].data();
+    std::vector<std::vector<double>> inner_scratch =
+        ChainScratch(plan.inner.size(), compact_stride);
+    std::vector<double> sum(compact_stride);
+    std::vector<double> head(CovarStride(n), 0.0);
+    std::vector<const double*> outer_spans(plan.outer.size());
+    std::vector<std::vector<double>> outer_scratch(
+        plan.outer.size() - 1, std::vector<double>(CovarStride(n), 0.0));
+    // Compact copies of the row's inner payloads; false when a partner is
+    // missing.
+    auto gather_inner = [&](size_t row) {
+      for (size_t i = 0; i < plan.inner.size(); ++i) {
+        const int c = plan.inner[i];
+        const double* cp = views[c].Find(tree.RowKeyToChild(v, c, row));
+        if (cp == nullptr) return false;
+        for (size_t e = 0; e < compact_stride; ++e) {
+          inner[i][e] = cp[plan.gather[e]];
+        }
+      }
+      return true;
+    };
+    for (size_t g = group_at(begin), g_end = group_at(end); g < g_end; ++g) {
+      if (start[g] == start[g + 1]) continue;
+      const size_t first = order[start[g]];
+      bool dangling = false;
+      for (size_t i = 0; i < plan.outer.size() && !dangling; ++i) {
+        const int c = plan.outer[i];
+        outer_spans[i] =
+            c == anchor
+                ? anchor_view.arena().Slot(static_cast<uint32_t>(g))
+                : views[c].Find(tree.RowKeyToChild(v, c, first));
+        dangling = outer_spans[i] == nullptr;
+      }
+      if (dangling) continue;
+
+      std::fill(sum.begin(), sum.end(), 0.0);
+      bool joined = false;
+      for (size_t s = start[g]; s < start[g + 1]; ++s) {
+        const size_t row = order[s];
+        if (!gather_inner(row)) continue;
+        for (size_t k = 0; k < feats.size(); ++k) {
+          feat_vals[k] = {plan.own[k], rel.Double(row, feats[k].first)};
+        }
+        LiftProductAdd(plan.width, plan.inner_chain, feat_vals, inner_spans,
+                       &inner_scratch, sum.data());
+        joined = true;
+      }
+      if (!joined) continue;
+
+      for (size_t e = 0; e < compact_stride; ++e) head[plan.gather[e]] = sum[e];
+      const double* prod = head.data();
+      for (size_t i = 0; i + 1 < plan.outer.size(); ++i) {
+        MulInScope(plan.outer_chain[i], prod, outer_spans[i],
+                   outer_scratch[i].data());
+        prod = outer_scratch[i].data();
+      }
+      MulAddInScope(plan.outer_chain.back(), prod, outer_spans.back(),
+                    acc->GetOrAdd(tree.RowKeyToParent(v, first)));
     }
+  };
+  PartitionedScan<CovarView>(ctx, order.size(), out, scan_groups,
+                             MergeCovarPartial);
+}
+
+CovarMatrix ComputeSharedCovar(const RootedTree& tree, const FeatureMap& fm,
+                               const FilterSet& filters,
+                               const ExecPolicy& policy) {
+  const int n = fm.num_features();
+  std::vector<CovarView> views(tree.num_nodes());
+  const std::vector<NodePlan> plans = BuildNodePlans(tree, fm);
+
+  // Two-level plan: independent view groups (same depth) run concurrently,
+  // and each node's scan is domain-parallel over fixed partitions via the
+  // nest-safe ParallelFor. Partition boundaries and merge order never
+  // depend on the thread count, so the result is bit-identical for every
+  // ExecPolicy{N >= 1}; the legacy policy (threads == 0) is the same plan
+  // with one partition per scan.
+  ExecContext ctx(policy);
+  for (const std::vector<int>& group : IndependentViewGroups(tree)) {
+    ctx.ParallelFor(group.size(), [&](size_t idx) {
+      const int v = group[idx];
+      RELBORG_TRACE_SPAN("core/covar-scan", "core", -1, v);
+      views[v].Init(n);
+      if (plans[v].group.anchor >= 0) {
+        ComputeGroupedNodeView(ctx, tree, fm, filters, plans[v].group, v,
+                               views, &views[v]);
+        return;
+      }
+      PartitionedScan<CovarView>(
+          ctx, tree.relation(v).num_rows(), &views[v],
+          [&](size_t begin, size_t end, CovarView* acc) {
+            ComputeCovarNodeView(tree, fm, filters, plans[v].rows, v, views,
+                                 begin, end, acc);
+          },
+          MergeCovarPartial);
+    });
   }
 
   const double* result = views[tree.root()].Find(kUnitKey);
@@ -385,14 +650,14 @@ CovarMatrix ComputeCovarMatrix(const RootedTree& tree, const FeatureMap& fm,
   const int n = fm.num_features();
   switch (options.mode) {
     case ExecMode::kShared:
-      return ComputeSharedCovar(tree, fm, filters, /*parallel=*/false, {});
+      return ComputeSharedCovar(tree, fm, filters, ExecPolicy{});
     case ExecMode::kSharedParallel: {
       ExecPolicy policy = options.policy;
       // Resolve only the thread count from the environment so a caller's
       // partition_grain / max_partitions customization survives.
       if (!policy.enabled()) policy.threads = ExecPolicy::FromEnv().threads;
       if (options.pool != nullptr) policy.pool = options.pool;
-      return ComputeSharedCovar(tree, fm, filters, /*parallel=*/true, policy);
+      return ComputeSharedCovar(tree, fm, filters, policy);
     }
     case ExecMode::kPerAggregate:
     case ExecMode::kPerAggregateInterpreted: {

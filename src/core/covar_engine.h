@@ -17,9 +17,17 @@
 //                             ring computes the whole batch at once, with
 //                             payloads in arena storage (ring/covar_arena.h)
 //                             and the fused lift-multiply-accumulate kernel.
+//                             A GROUPED node (one child's join key contains
+//                             the node's parent key and the keys of at least
+//                             one other child, e.g. Retailer's Inventory
+//                             with Weather(locn, dateid) and Stores(locn))
+//                             sums its rows per anchor key first and
+//                             multiplies the children nested in that key
+//                             once per key instead of once per row.
 //   kSharedParallel           + parallelization: task parallelism across
 //                             independent subtrees and domain parallelism
-//                             over partitions of the root relation.
+//                             over partitions of the root relation (of its
+//                             key groups, when grouped).
 #ifndef RELBORG_CORE_COVAR_ENGINE_H_
 #define RELBORG_CORE_COVAR_ENGINE_H_
 

@@ -1,6 +1,7 @@
 #include "ml/linear_regression.h"
 
 #include <cmath>
+#include <vector>
 
 #include "ml/linalg.h"
 #include "util/check.h"
@@ -24,6 +25,20 @@ struct StandardizedSystem {
   double count = 0;
 };
 
+// Aborts unless `response` and every regressor name a feature of an
+// n-feature matrix, no regressor is the response, and none repeats.
+void CheckRegressors(int n, int response, const std::vector<int>& regressors) {
+  RELBORG_CHECK_MSG(response >= 0 && response < n,
+                    "response is not a feature index");
+  std::vector<char> seen(n, 0);
+  for (int f : regressors) {
+    RELBORG_CHECK_MSG(f >= 0 && f < n, "regressor is not a feature index");
+    RELBORG_CHECK_MSG(f != response, "regressor is the response");
+    RELBORG_CHECK_MSG(!seen[f], "regressor listed twice");
+    seen[f] = 1;
+  }
+}
+
 StandardizedSystem BuildSystem(const CovarMatrix& m, int response,
                                const std::vector<int>& feature_subset) {
   StandardizedSystem sys;
@@ -34,6 +49,7 @@ StandardizedSystem BuildSystem(const CovarMatrix& m, int response,
   } else {
     sys.subset = feature_subset;
   }
+  CheckRegressors(m.num_features(), response, sys.subset);
   const int p = static_cast<int>(sys.subset.size());
   const double c = m.count();
   sys.count = c;
@@ -42,7 +58,6 @@ StandardizedSystem BuildSystem(const CovarMatrix& m, int response,
   sys.scale.resize(p);
   for (int a = 0; a < p; ++a) {
     int f = sys.subset[a];
-    RELBORG_CHECK(f != response);
     sys.mean[a] = m.Sum(f) / c;
     double var = m.Moment(f, f) / c - sys.mean[a] * sys.mean[a];
     sys.scale[a] = var > 1e-12 ? std::sqrt(var) : 1.0;
@@ -143,6 +158,8 @@ LinearModel SolveRidgeClosedForm(const CovarMatrix& m, int response,
 
 double MseFromCovar(const CovarMatrix& m, int response,
                     const LinearModel& model) {
+  RELBORG_CHECK(model.weights.size() == model.feature_indices.size());
+  CheckRegressors(m.num_features(), response, model.feature_indices);
   const double c = m.count();
   if (c <= 0) return 0;
   const int n = m.num_features();  // index n = constant feature

@@ -458,6 +458,15 @@ class CovarArenaView {
     return slot == nullptr ? nullptr : arena_.Slot(*slot - 1);
   }
 
+  // Arena slot id of `key` (arena().Slot(id) is its span), or kNoSlot when
+  // absent. In a view built by GetOrAdd alone, ids are dense in
+  // [0, arena().num_slots()), one per key.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  uint32_t FindSlot(uint64_t key) const {
+    const uint32_t* slot = map_.Find(key);
+    return slot == nullptr ? kNoSlot : *slot - 1;
+  }
+
   // --- Published merges (writer side of the snapshot protocol) -----------
 
   // Writable span of `key` for one merge: in place normally; a fresh slot

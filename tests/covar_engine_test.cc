@@ -1,13 +1,21 @@
 // Tests for the factorized covariance engine: the dinner example of the
-// paper (Figures 7-9) with hand-computed aggregates, plus property tests
+// paper (Figures 7-9) with hand-computed aggregates, property tests
 // cross-checking all four execution modes against the materialized
-// reference on random acyclic databases.
+// reference on random acyclic databases, and the grouped scan's plan and
+// error bound on the datasets.
+#include <algorithm>
+#include <regex>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "baseline/materializer.h"
+#include "baseline/query_at_a_time.h"
 #include "core/covar_engine.h"
 #include "core/feature_map.h"
+#include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "query/join_tree.h"
 #include "tests/test_util.h"
 
@@ -163,6 +171,84 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeeds),
                        ::testing::Values(Topology::kStar, Topology::kChain,
                                          Topology::kBushy)));
+
+// Rooted at R0, the nested topology takes the grouped scan.
+INSTANTIATE_TEST_SUITE_P(
+    NestedDbs, CovarEngineProperty,
+    ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeeds),
+                       ::testing::Values(Topology::kNested)));
+
+// --- Grouped scans on the datasets ---
+
+// Nodes whose scan was grouped (a core/covar-group span) in
+// one kShared run over `tree`.
+std::set<int> GroupedNodes(const RootedTree& tree, const FeatureMap& fm) {
+  obs::TraceRecorder recorder;
+  {
+    obs::ThreadTraceScope scope(&recorder, "test");
+    ComputeCovarMatrix(tree, fm);
+  }
+  std::set<int> nodes;
+  const std::string json = recorder.ExportChromeJson();
+  const std::regex span(
+      "\"name\":\"core/covar-group\"[^}]*\"node\":(-?[0-9]+)");
+  for (std::sregex_iterator it(json.begin(), json.end(), span), end;
+       it != end; ++it) {
+    nodes.insert(std::stoi((*it)[1].str()));
+  }
+  return nodes;
+}
+
+TEST(CovarEngineGroupTest, PlanFiresAtFactRootsWithNestedKeys) {
+  GenOptions tiny;
+  tiny.scale = 0.003;
+  for (const char* name : {"retailer", "favorita", "yelp", "tpcds"}) {
+    SCOPED_TRACE(name);
+    Dataset ds = MakeDataset(name, tiny);
+    FeatureMap fm(ds.query, ds.features);
+    RootedTree tree = ds.RootAtFact();
+    const bool nested = std::string(name) == "retailer" ||
+                        std::string(name) == "favorita";
+    EXPECT_EQ(GroupedNodes(tree, fm),
+              nested ? std::set<int>{tree.root()} : std::set<int>{});
+  }
+  RandomDb db = MakeRandomDb(3, Topology::kNested);
+  FeatureMap fm(db.query, db.features);
+  EXPECT_EQ(GroupedNodes(db.query.Root(0), fm), std::set<int>{0});
+}
+
+// The grouped scan changes the summation order; it must stay within the
+// 1e-9 relative bound against one scan per aggregate over the materialized
+// join, in the legacy plan and at every thread count.
+class CovarEngineDatasetOracle : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(CovarEngineDatasetOracle, SharedModesMatchQueryAtATime) {
+  GenOptions options;
+  options.scale = 0.01;
+  Dataset ds = MakeDataset(GetParam(), options);
+  FeatureMap fm(ds.query, ds.features);
+  RootedTree tree = ds.RootAtFact();
+  const CovarMatrix want = CovarByQueryAtATime(MaterializeJoin(tree, fm));
+  const int n = fm.num_features();
+  for (int threads : {0, 1, 4}) {
+    CovarEngineOptions engine;
+    engine.mode = threads == 0 ? ExecMode::kShared : ExecMode::kSharedParallel;
+    engine.policy.threads = threads;
+    const CovarMatrix got = ComputeCovarMatrix(tree, fm, {}, engine);
+    for (int i = 0; i <= n; ++i) {
+      for (int j = i; j <= n; ++j) {
+        const double w = want.Moment(i, j);
+        EXPECT_LE(std::abs(got.Moment(i, j) - w),
+                  1e-9 * std::max(1.0, std::abs(w)))
+            << "threads=" << threads << " i=" << i << " j=" << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, CovarEngineDatasetOracle,
+                         ::testing::Values("retailer", "favorita"));
 
 TEST(CovarBatchSizeTest, Formula) {
   EXPECT_EQ(CovarBatchSize(0), 1u);

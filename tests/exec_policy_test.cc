@@ -299,6 +299,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Topology::kStar, Topology::kChain,
                                          Topology::kBushy)));
 
+// The nested topology's root takes the grouped covariance scan.
+INSTANTIATE_TEST_SUITE_P(
+    NestedDbs, ThreadSweepProperty,
+    ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeeds),
+                       ::testing::Values(Topology::kNested)));
+
 // --- IVM sweep (small tier: per-seed cost dominated by strategy runs) ---
 
 class IvmThreadSweepProperty

@@ -143,6 +143,39 @@ TEST(LinRegTest, WarmStartConvergesFaster) {
   EXPECT_LT(warm_info.iterations, std::max(cold_info.iterations, 2));
 }
 
+// A response or regressor index outside the matrix would read past the
+// payload's sum and quad vectors; every entry point rejects it instead.
+TEST(LinRegDeathTest, RejectsBadFeatureIndices) {
+  RandomDb db = MakeRandomDb(5, Topology::kStar, 80);
+  FeatureMap fm(db.query, db.features);
+  CovarMatrix m = ComputeCovarMatrix(db.query.Root(0), fm);
+  const int n = fm.num_features();
+  const int response = n - 1;
+
+  EXPECT_DEATH(TrainRidgeGd(m, n), "response is not a feature index");
+  EXPECT_DEATH(TrainRidgeGd(m, -1), "response is not a feature index");
+  EXPECT_DEATH(SolveRidgeClosedForm(m, n), "response is not a feature index");
+  EXPECT_DEATH(TrainRidgeGd(m, response, {}, {0, n}),
+               "regressor is not a feature index");
+  EXPECT_DEATH(SolveRidgeClosedForm(m, response, 1e-3, {-1}),
+               "regressor is not a feature index");
+  EXPECT_DEATH(TrainRidgeGd(m, response, {}, {0, response}),
+               "regressor is the response");
+  EXPECT_DEATH(SolveRidgeClosedForm(m, response, 1e-3, {1, 0, 1}),
+               "regressor listed twice");
+
+  LinearModel model = SolveRidgeClosedForm(m, response);
+  EXPECT_DEATH(MseFromCovar(m, n, model), "response is not a feature index");
+  LinearModel bad = model;
+  bad.feature_indices[0] = n;
+  EXPECT_DEATH(MseFromCovar(m, response, bad),
+               "regressor is not a feature index");
+  bad.feature_indices[0] = response;
+  EXPECT_DEATH(MseFromCovar(m, response, bad), "regressor is the response");
+  bad.weights.pop_back();
+  EXPECT_DEATH(MseFromCovar(m, response, bad), "CHECK failed");
+}
+
 TEST(SgdLearnerTest, BeatsMeanPredictorOnPlantedData) {
   DataMatrix data({"x0", "x1", "y"});
   Rng rng(8);

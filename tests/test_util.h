@@ -87,7 +87,7 @@ inline JoinQuery MakeDinnerQuery(const Catalog& catalog) {
 inline constexpr uint64_t kPropertySeeds[] = {1, 2, 3, 7, 42, 1001};
 inline constexpr uint64_t kPropertySeedsSmall[] = {3, 21, 55};
 
-enum class Topology { kStar, kChain, kBushy };
+enum class Topology { kStar, kChain, kBushy, kNested };
 
 // A randomly generated acyclic database plus its query and feature list.
 struct RandomDb {
@@ -99,8 +99,11 @@ struct RandomDb {
 // Builds a random database. Star: fact R0 joins dims D1..D3 on distinct
 // keys; chain: R0-R1-R2 linked by successive keys; bushy: R0 with child D1
 // which itself has children D2, D3 (a two-level tree, D3 joined on a
-// two-attribute key). Key values are drawn from [0, domain) and some key
-// values are deliberately absent from one side (dangling tuples).
+// two-attribute key); nested: Retailer's shape, fact R0(k1, k2, k3, a) with
+// D1 on the composite key (k1, k2), D2 on its prefix k1 and D3 on k3, so
+// the covariance engine groups R0's rows by (k1, k2). Key values are drawn
+// from [0, domain) and some key values are deliberately absent from one
+// side (dangling tuples).
 //
 // integer_values rounds every double feature to an integer (same rng draw
 // sequence, so keys and shapes match the unrounded database). Suites that
@@ -119,7 +122,7 @@ inline RandomDb MakeRandomDb(uint64_t seed, Topology topology,
     return integer_values ? std::round(v) : v;
   };
 
-  if (topology == Topology::kStar) {
+  if (topology == Topology::kStar || topology == Topology::kNested) {
     Schema fact({{"k1", AttrType::kCategorical},
                  {"k2", AttrType::kCategorical},
                  {"k3", AttrType::kCategorical},
@@ -130,29 +133,44 @@ inline RandomDb MakeRandomDb(uint64_t seed, Topology topology,
                      static_cast<double>(rng.Below(domain)),
                      static_cast<double>(rng.Below(domain)), value()});
     }
+    // Join keys of D1..D3, one or two attributes each.
+    const std::vector<std::vector<std::string>> keys =
+        topology == Topology::kStar
+            ? std::vector<std::vector<std::string>>{{"k1"}, {"k2"}, {"k3"}}
+            : std::vector<std::vector<std::string>>{
+                  {"k1", "k2"}, {"k1"}, {"k3"}};
     for (int d = 1; d <= 3; ++d) {
+      const std::vector<std::string>& key = keys[d - 1];
       std::string name = "D" + std::to_string(d);
-      std::string key = "k" + std::to_string(d);
       std::string attr = "b" + std::to_string(d);
-      Schema dim({{key, AttrType::kCategorical}, {attr, AttrType::kDouble}});
+      Schema dim;
+      for (const std::string& k : key) {
+        dim.AddAttribute(k, AttrType::kCategorical);
+      }
+      dim.AddAttribute(attr, AttrType::kDouble);
       Relation* rel = db.catalog->AddRelation(name, dim);
+      const int32_t second = key.size() == 2 ? domain : 1;
       for (int32_t k = 0; k < domain; ++k) {
-        if (rng.Uniform() < 0.15) continue;  // dangling fact keys
-        int copies = 1 + static_cast<int>(rng.Below(3));
-        for (int c = 0; c < copies; ++c) {
-          rel->AppendRow({static_cast<double>(k), value()});
+        for (int32_t k2 = 0; k2 < second; ++k2) {
+          if (rng.Uniform() < 0.15) continue;  // dangling fact keys
+          int copies = 1 + static_cast<int>(rng.Below(3));
+          for (int c = 0; c < copies; ++c) {
+            std::vector<double> row = {static_cast<double>(k)};
+            if (key.size() == 2) row.push_back(static_cast<double>(k2));
+            row.push_back(value());
+            rel->AppendRow(row);
+          }
         }
       }
       db.features.push_back({name, attr});
     }
     db.features.push_back({"R0", "a"});
-    db.query.AddRelation(db.catalog->Get("R0"));
-    db.query.AddRelation(db.catalog->Get("D1"));
-    db.query.AddRelation(db.catalog->Get("D2"));
-    db.query.AddRelation(db.catalog->Get("D3"));
-    db.query.AddJoin("R0", "D1", {"k1"});
-    db.query.AddJoin("R0", "D2", {"k2"});
-    db.query.AddJoin("R0", "D3", {"k3"});
+    for (const char* name : {"R0", "D1", "D2", "D3"}) {
+      db.query.AddRelation(db.catalog->Get(name));
+    }
+    for (int d = 1; d <= 3; ++d) {
+      db.query.AddJoin("R0", "D" + std::to_string(d), keys[d - 1]);
+    }
     return db;
   }
 
