@@ -330,10 +330,10 @@ void Run(bool epoch_sweep) {
     // ran ahead of maintenance, and how its speculations settled.
     std::printf(
         "  %-11s compute lead <=%zu epochs, %zu speculated (%zu hits / %zu "
-        "misses), %zu probe-staged\n",
+        "misses) of %zu ranges\n",
         name, async.stats.compute_overlap_epochs_max,
         async.stats.speculated_ranges, async.stats.speculation_hits,
-        async.stats.speculation_misses, async.stats.probe_staged_ranges);
+        async.stats.speculation_misses, async.stats.ranges);
     bench::Report(std::string(tag) + "_compute_overlap_epochs_max",
                   static_cast<double>(async.stats.compute_overlap_epochs_max),
                   "epochs", policy.threads);

@@ -656,7 +656,6 @@ CovarMatrix ComputeCovarMatrix(const RootedTree& tree, const FeatureMap& fm,
       // Resolve only the thread count from the environment so a caller's
       // partition_grain / max_partitions customization survives.
       if (!policy.enabled()) policy.threads = ExecPolicy::FromEnv().threads;
-      if (options.pool != nullptr) policy.pool = options.pool;
       return ComputeSharedCovar(tree, fm, filters, policy);
     }
     case ExecMode::kPerAggregate:

@@ -36,7 +36,6 @@
 #include "query/join_tree.h"
 #include "query/predicate.h"
 #include "ring/covariance.h"
-#include "util/thread_pool.h"
 
 namespace relborg {
 
@@ -49,9 +48,6 @@ enum class ExecMode {
 
 struct CovarEngineOptions {
   ExecMode mode = ExecMode::kShared;
-  // Legacy pool injection for kSharedParallel; preferred over creating one
-  // in the ExecContext when set.
-  ThreadPool* pool = nullptr;
   // Execution policy for kSharedParallel. The default (threads == 0) is
   // resolved through ExecPolicy::FromEnv() at evaluation time; pass an
   // explicit ExecPolicy{N} for a fixed thread count. Results are

@@ -57,15 +57,9 @@ ExecPolicy ExecPolicy::FromEnv() {
 }
 
 ExecContext::ExecContext(const ExecPolicy& policy) : policy_(policy) {
-  if (policy_.parallel()) {
-    if (policy_.pool != nullptr) {
-      pool_ = policy_.pool;
-    } else {
-      // ParallelFor runs on the calling thread too, so threads - 1 workers
-      // give `threads` concurrent executors.
-      pool_ = CachedPool(policy_.threads - 1);
-    }
-  }
+  // ParallelFor runs on the calling thread too, so threads - 1 workers
+  // give `threads` concurrent executors.
+  if (policy_.parallel()) pool_ = CachedPool(policy_.threads - 1);
 }
 
 ExecContext::~ExecContext() = default;

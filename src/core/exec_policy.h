@@ -48,8 +48,6 @@ struct ExecPolicy {
   // partitioned plan's results independent of the thread count.
   size_t partition_grain = 2048;
   size_t max_partitions = 64;
-  // Optional externally-owned pool; when null, ExecContext owns one.
-  ThreadPool* pool = nullptr;
 
   bool enabled() const { return threads >= 1; }
   bool parallel() const { return threads > 1; }
@@ -65,11 +63,10 @@ struct ExecPolicy {
   static ExecPolicy FromEnv();
 };
 
-// Runtime companion of an ExecPolicy: borrows the policy's pool or a
-// process-wide cached pool of the right size (pools are created once per
-// distinct thread count and reused, so constructing an ExecContext per
-// engine invocation costs no thread spawn/join), and hands out
-// deterministic partition bounds.
+// Runtime companion of an ExecPolicy: borrows a process-wide cached pool of
+// the right size (pools are created once per distinct thread count and
+// reused, so constructing an ExecContext per engine invocation costs no
+// thread spawn/join), and hands out deterministic partition bounds.
 class ExecContext {
  public:
   explicit ExecContext(const ExecPolicy& policy);
@@ -98,7 +95,7 @@ class ExecContext {
 
  private:
   ExecPolicy policy_;
-  ThreadPool* pool_ = nullptr;  // borrowed (policy.pool or process cache)
+  ThreadPool* pool_ = nullptr;  // borrowed from the process cache
 };
 
 // Independent view groups of a rooted join tree: nodes grouped by depth,

@@ -75,18 +75,14 @@ void HigherOrderIvm::ApplyBatch(int v, size_t first, size_t count,
 }
 
 HigherOrderIvm::RangeDelta HigherOrderIvm::ComputeRangeDelta(
-    const NodeRowRange& r, std::vector<std::pair<int, uint64_t>>* observed,
-    const StagedChildKeys* staged) {
+    const NodeRowRange& r, std::vector<std::pair<int, uint64_t>>* observed) {
   RELBORG_TRACE_SPAN("hoivm/delta", "ivm", -1, r.node);
   for (int c : db_->tree().node(r.node).children) {
     observed->push_back({c, versions_[c].load(std::memory_order_acquire)});
   }
   RangeDelta delta(maintainers_.size());
   ctx_.ParallelFor(maintainers_.size(), [&](size_t k) {
-    delta[k] = maintainers_[k].ComputeDelta(r.node, r.first, r.count,
-                                            /*ctx=*/nullptr,
-                                            /*visible=*/nullptr,
-                                            /*child_snaps=*/nullptr, staged);
+    delta[k] = maintainers_[k].ComputeDelta(r.node, r.first, r.count);
   });
   return delta;
 }

@@ -232,9 +232,8 @@ class CovarFivm {
   // propagates it exactly like ApplyBatch's second half.
   using RangeDelta = CovarArenaView;
 
-  RangeDelta ComputeRangeDelta(const NodeRowRange& r,
-                               std::vector<std::pair<int, uint64_t>>* observed,
-                               const StagedChildKeys* staged = nullptr) {
+  RangeDelta ComputeRangeDelta(
+      const NodeRowRange& r, std::vector<std::pair<int, uint64_t>>* observed) {
     RELBORG_TRACE_SPAN("fivm/delta", "ivm", -1, r.node);
     const std::vector<int>& children = db_->tree().node(r.node).children;
     std::vector<CovarViewSnapshot> snaps(db_->tree().num_nodes());
@@ -244,7 +243,7 @@ class CovarFivm {
     }
     return maintainer_.ComputeDelta(r.node, r.first, r.count,
                                     ctx_.enabled() ? &ctx_ : nullptr,
-                                    /*visible=*/nullptr, snaps.data(), staged);
+                                    /*visible=*/nullptr, snaps.data());
   }
 
   bool RangeDeltaValid(
@@ -445,8 +444,7 @@ class HigherOrderIvm {
   using RangeDelta = std::vector<FlatHashMap<double>>;  // per maintainer
 
   RangeDelta ComputeRangeDelta(const NodeRowRange& r,
-                               std::vector<std::pair<int, uint64_t>>* observed,
-                               const StagedChildKeys* staged = nullptr);
+                               std::vector<std::pair<int, uint64_t>>* observed);
   bool RangeDeltaValid(
       const std::vector<std::pair<int, uint64_t>>& observed) const;
   void ApplyRangeDelta(const NodeRowRange& r, RangeDelta delta,

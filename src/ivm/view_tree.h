@@ -91,16 +91,6 @@ class ViewWriteGate {
   virtual void UnlockView(int v) = 0;
 };
 
-// Precomputed child join keys for rows [first, first + count) of one
-// range: keys[ci][row - first] == tree.RowKeyToChild(node, children[ci],
-// row). The stream scheduler stages these off the maintenance thread while
-// a conflicting earlier epoch makes full speculation pointless; a
-// ComputeDelta consuming them skips the per-row key packing.
-struct StagedChildKeys {
-  size_t first = 0;
-  std::vector<std::vector<uint64_t>> keys;  // per child, per row
-};
-
 template <typename Ops>
 class ViewTreeMaintainer {
  public:
@@ -149,20 +139,15 @@ class ViewTreeMaintainer {
   // stream scheduler's speculative compute stage passes the snapshots it
   // validates against; whenever validation succeeds the children never
   // changed, so the bounded and unbounded scans are bit-identical.
-  // `staged`, when non-null, supplies precomputed child join keys for the
-  // full [first, first + count) range (identical to what the scan would
-  // pack itself).
   View ComputeDelta(int v, size_t first, size_t count,
                     const ExecContext* ctx = nullptr,
                     const size_t* visible = nullptr,
-                    const typename Ops::Snapshot* child_snaps = nullptr,
-                    const StagedChildKeys* staged = nullptr) {
+                    const typename Ops::Snapshot* child_snaps = nullptr) {
     RELBORG_DCHECK(visible == nullptr || first + count <= visible[v]);
     (void)visible;  // only asserted: the scan stays inside its own range
-    RELBORG_DCHECK(staged == nullptr || staged->first == first);
     View delta = ops_.MakeView();
     if (ctx == nullptr || ctx->NumPartitions(count) <= 1) {
-      ScanDelta(v, first, count, &delta, child_snaps, staged, first);
+      ScanDelta(v, first, count, &delta, child_snaps);
     } else {
       const size_t parts = ctx->NumPartitions(count);
       std::vector<View> partials;
@@ -172,7 +157,7 @@ class ViewTreeMaintainer {
         const std::pair<size_t, size_t> b =
             ExecContext::PartitionBounds(count, parts, p);
         ScanDelta(v, first + b.first, b.second - b.first, &partials[p],
-                  child_snaps, staged, first);
+                  child_snaps);
       });
       for (size_t p = 0; p < parts; ++p) ops_.Merge(&delta, partials[p]);
     }
@@ -213,12 +198,9 @@ class ViewTreeMaintainer {
 
  private:
   // Computes the delta at v for rows [first, first + count) into *delta,
-  // serially in row order. `range_first` is the first row of the FULL range
-  // (== `first` except for the inner partitions of a parallel scan) — the
-  // base that `staged` keys are indexed from.
+  // serially in row order.
   void ScanDelta(int v, size_t first, size_t count, View* delta,
-                 const typename Ops::Snapshot* child_snaps,
-                 const StagedChildKeys* staged, size_t range_first) {
+                 const typename Ops::Snapshot* child_snaps) {
     const RootedTree& tree = db_->tree();
     const Relation& rel = db_->relation(v);
     const std::vector<int>& children = tree.node(v).children;
@@ -227,9 +209,7 @@ class ViewTreeMaintainer {
     for (size_t row = first; row < first + count; ++row) {
       bool dangling = false;
       for (size_t ci = 0; ci < children.size(); ++ci) {
-        const uint64_t key =
-            staged != nullptr ? staged->keys[ci][row - range_first]
-                              : tree.RowKeyToChild(v, children[ci], row);
+        const uint64_t key = tree.RowKeyToChild(v, children[ci], row);
         const View& child = views_[children[ci]];
         spans[ci] = child_snaps != nullptr
                         ? ops_.FindAt(child, key, child_snaps[children[ci]])

@@ -110,7 +110,6 @@ inline StreamStats AggregateShardStats(const std::vector<StreamStats>& per) {
     t.speculated_ranges += s.speculated_ranges;
     t.speculation_hits += s.speculation_hits;
     t.speculation_misses += s.speculation_misses;
-    t.probe_staged_ranges += s.probe_staged_ranges;
     t.apply_seconds += s.apply_seconds;
     t.commit_seconds += s.commit_seconds;
     t.compute_seconds += s.compute_seconds;

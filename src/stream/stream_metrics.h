@@ -31,7 +31,6 @@ struct StreamMetrics {
   obs::Counter* speculated_ranges = nullptr;
   obs::Counter* speculation_hits = nullptr;
   obs::Counter* speculation_misses = nullptr;
-  obs::Counter* probe_staged_ranges = nullptr;
   // Per-epoch stage timings (histograms; the StreamStats seconds fields are
   // the histogram sums).
   obs::Histogram* apply_seconds = nullptr;
@@ -79,9 +78,6 @@ struct StreamMetrics {
     m.speculation_misses =
         registry->GetCounter("relborg_stream_speculation_misses_total",
                              "Precomputed deltas invalidated and recomputed");
-    m.probe_staged_ranges =
-        registry->GetCounter("relborg_stream_probe_staged_ranges_total",
-                             "Conflicted ranges with staged child-key probes");
     m.apply_seconds =
         registry->GetHistogram("relborg_stream_apply_seconds",
                                "Per-epoch maintenance wall time (gate wait "

@@ -47,25 +47,22 @@
 //         far commits ran ahead.
 //   * The COMPUTE stage starts epoch N+1's DELTA COMPUTATION while epoch N
 //     (or several earlier epochs) is still propagating — the speculative
-//     half of the applier's work, pulled off the serial path. For each
-//     range of a committed epoch it either:
-//       - SPECULATES: computes the range's delta against the CURRENT child
-//         views, bounded by per-view version snapshots taken at entry, and
-//         records the observed (node, version) pairs. The applier
-//         revalidates the versions at the range's serial point; equality
-//         means the child views never changed in between, so the
-//         precomputed delta is bit-identical to a fresh serial compute
-//         (deterministic partitioned folds) and propagation proceeds from
-//         it directly — a SPECULATION HIT. On a mismatch the applier
-//         recomputes serially (a MISS; correctness never depends on the
-//         speculation, only latency does).
-//       - STAGES PROBES: when the range's probe set (its node's children)
-//         intersects the write closure of an epoch still in flight — an
-//         earlier epoch handed downstream but not yet maintained, or an
-//         earlier range of the same epoch — a speculated delta would be
-//         invalidated with certainty, so the stage packs the range's
-//         child-view hash keys instead (the other half of the scan's
-//         per-row work) and the serial recompute consumes them.
+//     half of the applier's work, pulled off the serial path. It
+//     SPECULATES each range of a committed epoch whose probe set (its
+//     node's children) misses the write closure of every fold still in
+//     flight — an earlier epoch handed downstream but not yet maintained,
+//     or an earlier range of the same epoch: it computes the range's delta
+//     against the CURRENT child views, bounded by per-view version
+//     snapshots taken at entry, and records the observed (node, version)
+//     pairs. The applier revalidates the versions at the range's serial
+//     point; equality means the child views never changed in between, so
+//     the precomputed delta is bit-identical to a fresh serial compute
+//     (deterministic partitioned folds) and propagation proceeds from it
+//     directly — a SPECULATION HIT. On a mismatch the applier recomputes
+//     serially (a MISS; correctness never depends on the speculation, only
+//     latency does). A range whose probe set meets an in-flight write
+//     closure would miss with certainty, so the stage leaves it alone and
+//     the applier computes its delta serially, exactly as for a miss.
 //     Safety mirrors the committer's two-mechanism design:
 //       - MEMORY: the compute thread holds the per-node CommitGate (as a
 //         second maintain-side holder) while reading the range's relation
@@ -174,20 +171,12 @@ struct StreamOptions {
   size_t epoch_rows = 8192;
   size_t epoch_batches = 64;
   // Backpressure bounds: Push blocks while the ingress queue holds
-  // >= max_queued_rows rows; each of the sealed and committed epoch queues
-  // holds at most max_queued_epochs epochs (so commits run at most
-  // ~max_queued_epochs epochs ahead of maintenance).
+  // >= max_queued_rows rows; each of the sealed, committed and computed
+  // epoch queues holds at most max_queued_epochs epochs (so commits and
+  // the compute stage run at most ~max_queued_epochs epochs ahead of
+  // maintenance). 0 is treated as 1.
   size_t max_queued_rows = 1 << 16;
   size_t max_queued_epochs = 4;
-  // The computed queue's capacity: the compute stage runs at most this
-  // many epochs ahead of maintenance.
-  size_t max_compute_ahead_epochs = 4;
-  // TEST KNOB: speculate even for ranges whose probe set intersects an
-  // in-flight epoch's write closure (normally those stage probes instead,
-  // since validation would miss with certainty). Forces the
-  // validation-miss / serial-recompute / write-gate contention paths that
-  // conflict avoidance makes rare. Results are bit-identical either way.
-  bool speculate_past_conflicts = false;
   // Ingress validation (docs/ARCHITECTURE.md, "Failure model & recovery"):
   // when on, Push checks every batch against the catalog — node id in
   // range, per-row arity and attribute types, finite values, deletes only
@@ -229,16 +218,13 @@ struct StreamStats {
   size_t rows = 0;     // rows across those batches
   size_t epochs = 0;   // sealed epochs applied
   size_t ranges = 0;   // coalesced per-node ranges applied
-  // Speculative compute counters. speculated/probe-staged are decided on
-  // the compute thread; hits/misses are decided on the applier thread at
-  // each range's serial point (hits + misses == speculated_ranges after
-  // Finish). All are timing-dependent — only their SUMS per range are
-  // structural: every range is exactly one of speculated, probe-staged or
-  // plain.
+  // Speculative compute counters. speculated is decided on the compute
+  // thread; hits/misses are decided on the applier thread at each range's
+  // serial point (hits + misses == speculated_ranges after Finish). All
+  // are timing-dependent; a range not speculated is computed serially.
   size_t speculated_ranges = 0;   // ranges with a precomputed delta
   size_t speculation_hits = 0;    // ...accepted at the serial point
   size_t speculation_misses = 0;  // ...invalidated and recomputed
-  size_t probe_staged_ranges = 0;  // conflicted ranges with staged keys
   // Timing (observability only; never affects results).
   double apply_seconds = 0;   // wall time maintaining epochs (gate wait in)
   double commit_seconds = 0;  // wall time splicing chunks, gate waits out
@@ -288,7 +274,6 @@ inline StreamStats StreamMetrics::Derive() const {
   s.speculated_ranges = static_cast<size_t>(speculated_ranges->Value());
   s.speculation_hits = static_cast<size_t>(speculation_hits->Value());
   s.speculation_misses = static_cast<size_t>(speculation_misses->Value());
-  s.probe_staged_ranges = static_cast<size_t>(probe_staged_ranges->Value());
   s.apply_seconds = apply_seconds->Sum();
   s.commit_seconds = commit_seconds->Sum();
   s.compute_seconds = compute_seconds->Sum();
@@ -445,38 +430,15 @@ struct ComputedEpoch {
 template <typename Strategy>
 struct ComputedEpoch<Strategy, true> {
   struct Range {
-    // Exactly one of `speculated` / `probes_staged` is set for a range the
-    // compute stage touched; both false means the applier computes the
-    // range serially from scratch.
+    // False means the applier computes the range serially from scratch.
     bool speculated = false;
     typename Strategy::RangeDelta delta{};
     // (node, version) of every child view the delta was computed against.
     std::vector<std::pair<int, uint64_t>> observed;
-    bool probes_staged = false;
-    StagedChildKeys probes;
   };
   StreamEpoch epoch;
   std::vector<Range> ranges;  // parallel to epoch.ranges (empty if untouched)
 };
-
-// Packs the child-view hash keys of rows [first, first + count) at `node`
-// — bit-identical to what ViewTreeMaintainer's delta scan would compute
-// row by row. The rows must already be committed.
-inline StagedChildKeys StageChildKeys(const ShadowDb& db, int node,
-                                      size_t first, size_t count) {
-  const RootedTree& tree = db.tree();
-  const std::vector<int>& children = tree.node(node).children;
-  StagedChildKeys out;
-  out.first = first;
-  out.keys.resize(children.size());
-  for (size_t ci = 0; ci < children.size(); ++ci) {
-    out.keys[ci].reserve(count);
-    for (size_t row = first; row < first + count; ++row) {
-      out.keys[ci].push_back(tree.RowKeyToChild(node, children[ci], row));
-    }
-  }
-  return out;
-}
 
 // Minimal bounded MPSC channel: Push blocks while `capacity` worth of
 // weight is queued (backpressure), Pop blocks until an item arrives or the
@@ -987,21 +949,21 @@ void MaintainEpoch(Strategy* strategy, StreamEpoch* epoch) {
   }
 }
 
-// The compute stage's work on one committed epoch: per range, either
-// speculate a delta (recording observed child versions) or stage child-key
-// probes when the range's probe set intersects `pending_writes` (the union
-// of the write closures of epochs handed downstream but not yet
-// maintained) or an earlier range's closure of this same epoch. Gates are
-// nullable — the threaded scheduler passes both, the single-threaded
-// stepper neither. Decision and output are deterministic given
-// (epoch, pending_writes, speculate_past_conflicts); only the HIT RATE at
-// the serial point is timing-dependent.
+// The compute stage's work on one committed epoch: per range, speculate a
+// delta (recording observed child versions) unless the range's probe set
+// intersects `pending_writes` (the union of the write closures of epochs
+// handed downstream but not yet maintained) or an earlier range's closure
+// of this same epoch; such a range is left for the applier's serial
+// compute. Gates are nullable — the threaded scheduler passes both, the
+// single-threaded stepper neither. Decision and output are deterministic
+// given (epoch, pending_writes); only the HIT RATE at the serial point is
+// timing-dependent.
 template <typename Strategy>
 void SpeculateEpoch(Strategy* strategy, const ShadowDb& db,
                     ComputedEpoch<Strategy, true>* ce,
                     const std::vector<uint8_t>* pending_writes,
-                    bool speculate_past_conflicts, CommitGate* commit_gate,
-                    ViewGate* view_gate, StreamMetrics* metrics) {
+                    CommitGate* commit_gate, ViewGate* view_gate,
+                    StreamMetrics* metrics) {
   const RootedTree& tree = db.tree();
   const size_t num_nodes = static_cast<size_t>(tree.num_nodes());
   std::vector<StreamRange>& ranges = ce->epoch.ranges;
@@ -1021,25 +983,23 @@ void SpeculateEpoch(Strategy* strategy, const ShadowDb& db,
     const NodeRowRange r{chunk.node, chunk.first, chunk.num_rows()};
     std::fill(probe_set.begin(), probe_set.end(), 0);
     MarkChildren(tree, r.node, &probe_set);
-    double waited = 0;
-    if (MasksIntersect(probe_set, conflict) && !speculate_past_conflicts) {
-      // Validation would miss with certainty — don't burn the compute on a
-      // delta that gets thrown away; pack the scan's hash keys instead.
-      if (commit_gate != nullptr) waited = commit_gate->BeginMaintainNode(r.node);
-      cr.probes = StageChildKeys(db, r.node, r.first, r.count);
-      if (commit_gate != nullptr) commit_gate->EndMaintainNode(r.node);
-      cr.probes_staged = true;
-      if (metrics != nullptr) metrics->probe_staged_ranges->Inc();
-    } else {
-      if (commit_gate != nullptr) waited = commit_gate->BeginMaintainNode(r.node);
+    // A conflicted range's validation would miss with certainty — don't
+    // burn the compute on a delta that gets thrown away.
+    if (!MasksIntersect(probe_set, conflict)) {
+      double waited = 0;
+      if (commit_gate != nullptr) {
+        waited = commit_gate->BeginMaintainNode(r.node);
+      }
       if (view_gate != nullptr) waited += view_gate->BeginRead(probe_set);
-      cr.delta = strategy->ComputeRangeDelta(r, &cr.observed, nullptr);
+      cr.delta = strategy->ComputeRangeDelta(r, &cr.observed);
       if (view_gate != nullptr) view_gate->EndRead(probe_set);
       if (commit_gate != nullptr) commit_gate->EndMaintainNode(r.node);
       cr.speculated = true;
-      if (metrics != nullptr) metrics->speculated_ranges->Inc();
+      if (metrics != nullptr) {
+        metrics->speculated_ranges->Inc();
+        metrics->compute_gate_wait->Observe(waited);
+      }
     }
-    if (metrics != nullptr) metrics->compute_gate_wait->Observe(waited);
     MarkAncestorClosure(tree, r.node, &conflict);
   }
 }
@@ -1047,8 +1007,7 @@ void SpeculateEpoch(Strategy* strategy, const ShadowDb& db,
 // MaintainEpoch's speculative sibling: per range, accept the precomputed
 // delta when its observed child versions still hold at the serial point
 // (version equality implies the child views are unchanged, so the delta is
-// bit-identical to a fresh compute), else recompute serially — consuming
-// staged probes when the compute stage packed them. Group strategies
+// bit-identical to a fresh compute), else recompute serially. Group strategies
 // validate/recompute ALL of a group's ranges against the pre-group state
 // before any of the group propagates, matching ApplyGroup's
 // compute-all-then-apply-all shape; per-range strategies validate
@@ -1075,9 +1034,7 @@ void MaintainEpochSpeculative(Strategy* strategy,
     }
     if (cr->speculated && metrics != nullptr) metrics->speculation_misses->Inc();
     cr->observed.clear();
-    cr->delta = strategy->ComputeRangeDelta(
-        range_of(k), &cr->observed,
-        cr->probes_staged ? &cr->probes : nullptr);
+    cr->delta = strategy->ComputeRangeDelta(range_of(k), &cr->observed);
   };
   size_t i = 0;
   while (i < ranges.size()) {
@@ -1157,7 +1114,7 @@ class StreamScheduler {
         ingress_(options.max_queued_rows),
         sealed_(options.max_queued_epochs),
         committed_(options.max_queued_epochs),
-        computed_(options.max_compute_ahead_epochs),
+        computed_(options.max_queued_epochs),
         gate_(shadow->tree().num_nodes()),
         view_gate_(shadow->tree().num_nodes()),
         all_reads_(shadow->tree().num_nodes(), 1),
@@ -1528,8 +1485,7 @@ class StreamScheduler {
         }
         const double waited_before = m_.compute_gate_wait->Sum();
         stream_internal::SpeculateEpoch(
-            strategy_, *shadow_, &ce, &pending_mask,
-            options_.speculate_past_conflicts, &gate_, &view_gate_, &m_);
+            strategy_, *shadow_, &ce, &pending_mask, &gate_, &view_gate_, &m_);
         pending.emplace_back(ce.epoch.id, ce.epoch.reads);
         m_.compute_seconds->Observe(
             timer.Seconds() - (m_.compute_gate_wait->Sum() - waited_before));
@@ -1860,7 +1816,7 @@ class SteppedStreamPipeline {
                         const StreamOptions& options = {})
       : shadow_(shadow),
         strategy_(strategy),
-        options_(options),
+        depth_(std::max<size_t>(1, options.max_queued_epochs)),
         assembler_(shadow, options),
         stream_(std::move(stream)),
         m_(stream_internal::StreamMetrics::Register(&registry_)) {}
@@ -1929,7 +1885,7 @@ class SteppedStreamPipeline {
 
  private:
   bool StepAssemble() {
-    if (sealed_.size() >= options_.max_queued_epochs) return false;
+    if (sealed_.size() >= depth_) return false;
     if (next_batch_ >= stream_.size() && flushed_) return false;
     StreamEpoch epoch;
     while (next_batch_ < stream_.size()) {
@@ -1947,9 +1903,7 @@ class SteppedStreamPipeline {
   }
 
   bool StepCommit() {
-    if (sealed_.empty() || committed_.size() >= options_.max_queued_epochs) {
-      return false;
-    }
+    if (sealed_.empty() || committed_.size() >= depth_) return false;
     StreamEpoch epoch = std::move(sealed_.front());
     sealed_.pop_front();
     stream_internal::CommitEpoch(shadow_, &epoch);
@@ -1958,10 +1912,7 @@ class SteppedStreamPipeline {
   }
 
   bool StepCompute() {
-    if (committed_.empty() ||
-        computed_.size() >= options_.max_compute_ahead_epochs) {
-      return false;
-    }
+    if (committed_.empty() || computed_.size() >= depth_) return false;
     Computed ce;
     ce.epoch = std::move(committed_.front());
     committed_.pop_front();
@@ -1977,7 +1928,6 @@ class SteppedStreamPipeline {
       m_.compute_overlap_max->SetMax(
           static_cast<double>(ce.epoch.id + 1 - applied_epochs_));
       stream_internal::SpeculateEpoch(strategy_, *shadow_, &ce, &pending,
-                                      options_.speculate_past_conflicts,
                                       /*commit_gate=*/nullptr,
                                       /*view_gate=*/nullptr, &m_);
     }
@@ -2003,7 +1953,8 @@ class SteppedStreamPipeline {
 
   ShadowDb* shadow_;
   Strategy* strategy_;
-  StreamOptions options_;
+  // Every epoch queue's capacity, clamped like BoundedChannel's.
+  size_t depth_;
   EpochAssembler assembler_;
   std::vector<UpdateBatch> stream_;
   size_t next_batch_ = 0;

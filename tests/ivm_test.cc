@@ -2,6 +2,10 @@
 // strategies must agree exactly with recomputation from scratch; deletions
 // (negative multiplicities, the ring's additive inverse) must cancel.
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/covar_engine.h"
 #include "gtest/gtest.h"
@@ -144,6 +148,138 @@ TEST_P(IvmProperty, DeletionsCancelInsertions) {
 INSTANTIATE_TEST_SUITE_P(
     RandomDbs, IvmProperty,
     ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeedsSmall),
+                       ::testing::Values(Topology::kStar, Topology::kChain,
+                                         Topology::kBushy)));
+
+// --- Speculative per-range compute: validation hit and miss ---------------
+//
+// The stream scheduler's compute stage calls ComputeRangeDelta ahead of a
+// range's serial point, and the applier accepts the delta only if
+// RangeDeltaValid still holds there; otherwise it recomputes. Both paths
+// must leave the strategy bit-identical to serial ApplyBatch in the same
+// order.
+
+void ExpectCovarExact(const CovarMatrix& got, const CovarMatrix& want) {
+  ASSERT_EQ(got.num_features(), want.num_features());
+  const int n = want.num_features();
+  for (int i = 0; i <= n; ++i) {
+    for (int j = i; j <= n; ++j) {
+      EXPECT_EQ(got.Moment(i, j), want.Moment(i, j))
+          << "(" << i << "," << j << ")";
+    }
+  }
+}
+
+using Rows = std::vector<std::vector<double>>;
+
+template <typename Strategy>
+void CheckSpeculativeRangeDelta(uint64_t seed, Topology topology) {
+  RandomDb db = MakeRandomDb(seed, topology, /*fact_rows=*/40);
+  ShadowDb shadow(db.query, 0);
+  FeatureMap fm(shadow.query(), db.features);
+  const RootedTree& tree = shadow.tree();
+  // A leaf and its parent: folding any rows into a leaf publishes a
+  // non-empty delta, so the parent's speculated delta goes stale.
+  int leaf = -1;
+  for (int v = 0; v < tree.num_nodes() && leaf < 0; ++v) {
+    if (tree.node(v).children.empty() && tree.node(v).parent >= 0) leaf = v;
+  }
+  ASSERT_GE(leaf, 0);
+  const int parent = tree.node(leaf).parent;
+  ExecPolicy policy;
+  policy.threads = 2;
+  policy.partition_grain = 1;  // two-row ranges still partition
+  Strategy spec(&shadow, &fm, policy);
+  Strategy serial(&shadow, &fm, policy);
+
+  // Load everything except the last rows of the parent and the leaf.
+  UpdateStreamOptions opts;
+  opts.batch_size = 5;
+  opts.seed = seed;
+  Rows parent_rows, leaf_rows;
+  auto load = [&](int v, const Rows& rows) {
+    const size_t from = shadow.AppendRows(v, rows);
+    spec.ApplyBatch(v, from, rows.size());
+    serial.ApplyBatch(v, from, rows.size());
+  };
+  for (const UpdateBatch& batch : BuildInsertStream(db.query, opts)) {
+    Rows* held = batch.node == parent ? &parent_rows
+                 : batch.node == leaf ? &leaf_rows
+                                      : nullptr;
+    if (held == nullptr) {
+      load(batch.node, batch.rows);
+    } else {
+      held->insert(held->end(), batch.rows.begin(), batch.rows.end());
+    }
+  }
+  ASSERT_GE(parent_rows.size(), 5u);
+  ASSERT_GE(leaf_rows.size(), 3u);
+  const Rows p1(parent_rows.end() - 4, parent_rows.end() - 2);
+  const Rows p2(parent_rows.end() - 2, parent_rows.end());
+  const Rows l1(leaf_rows.end() - 2, leaf_rows.end());
+  parent_rows.resize(parent_rows.size() - 4);
+  leaf_rows.resize(leaf_rows.size() - 2);
+  load(parent, parent_rows);
+  load(leaf, leaf_rows);
+  ExpectCovarExact(spec.Current(), serial.Current());
+
+  // Hit: no fold between the speculative compute and the serial point.
+  {
+    const NodeRowRange r{parent, shadow.AppendRows(parent, p1), p1.size()};
+    std::vector<std::pair<int, uint64_t>> observed;
+    typename Strategy::RangeDelta delta = spec.ComputeRangeDelta(r, &observed);
+    EXPECT_FALSE(observed.empty());
+    EXPECT_TRUE(spec.RangeDeltaValid(observed));
+    spec.ApplyRangeDelta(r, std::move(delta), /*visible=*/nullptr,
+                         /*gate=*/nullptr);
+    serial.ApplyBatch(r.node, r.first, r.count);
+    ExpectCovarExact(spec.Current(), serial.Current());
+  }
+
+  // Miss: the leaf's range commits before the parent's, the parent's delta
+  // is speculated, then the leaf folds first (its horizon hides the
+  // parent's new rows, like an epoch's visibility horizon). The stale
+  // delta must fail validation; the recompute must match serial replay.
+  {
+    const NodeRowRange lr{leaf, shadow.AppendRows(leaf, l1), l1.size()};
+    const NodeRowRange pr{parent, shadow.AppendRows(parent, p2), p2.size()};
+    std::vector<size_t> horizon(tree.num_nodes());
+    for (int v = 0; v < tree.num_nodes(); ++v) {
+      horizon[v] = shadow.committed_rows(v);
+    }
+    horizon[parent] = pr.first;
+    std::vector<std::pair<int, uint64_t>> observed;
+    typename Strategy::RangeDelta delta =
+        spec.ComputeRangeDelta(pr, &observed);
+    spec.ApplyBatch(lr.node, lr.first, lr.count, horizon.data());
+    EXPECT_FALSE(spec.RangeDeltaValid(observed));
+    observed.clear();
+    delta = spec.ComputeRangeDelta(pr, &observed);
+    EXPECT_TRUE(spec.RangeDeltaValid(observed));
+    spec.ApplyRangeDelta(pr, std::move(delta), /*visible=*/nullptr,
+                         /*gate=*/nullptr);
+    serial.ApplyBatch(lr.node, lr.first, lr.count, horizon.data());
+    serial.ApplyBatch(pr.node, pr.first, pr.count);
+    ExpectCovarExact(spec.Current(), serial.Current());
+  }
+}
+
+class SpeculativeRangeDelta
+    : public ::testing::TestWithParam<std::tuple<uint64_t, Topology>> {};
+
+TEST_P(SpeculativeRangeDelta, CovarFivmHitAndMissMatchSerial) {
+  auto [seed, topology] = GetParam();
+  CheckSpeculativeRangeDelta<CovarFivm>(seed, topology);
+}
+
+TEST_P(SpeculativeRangeDelta, HigherOrderIvmHitAndMissMatchSerial) {
+  auto [seed, topology] = GetParam();
+  CheckSpeculativeRangeDelta<HigherOrderIvm>(seed, topology);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomDbs, SpeculativeRangeDelta,
+    ::testing::Combine(::testing::ValuesIn(relborg::testing::kPropertySeeds),
                        ::testing::Values(Topology::kStar, Topology::kChain,
                                          Topology::kBushy)));
 

@@ -422,8 +422,6 @@ TEST(ObsStream, StreamStatsEqualsRegistryDerivation) {
             counter("relborg_stream_speculation_hits_total"));
   EXPECT_EQ(stats.speculation_misses,
             counter("relborg_stream_speculation_misses_total"));
-  EXPECT_EQ(stats.probe_staged_ranges,
-            counter("relborg_stream_probe_staged_ranges_total"));
   EXPECT_EQ(stats.apply_seconds, hist_sum("relborg_stream_apply_seconds"));
   EXPECT_EQ(stats.commit_seconds, hist_sum("relborg_stream_commit_seconds"));
   EXPECT_EQ(stats.compute_seconds,

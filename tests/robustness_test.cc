@@ -454,7 +454,6 @@ TEST(StreamBackpressureTest, TryPushDeadlineExpiresUnderStalledApplier) {
   options.epoch_rows = 1;
   options.max_queued_rows = 4;
   options.max_queued_epochs = 1;
-  options.max_compute_ahead_epochs = 1;
   StreamScheduler<BlockingStrategy> scheduler(&shadow, &strategy, options);
   UpdateBatch batch;
   batch.node = 0;
@@ -490,7 +489,6 @@ TEST(StreamBackpressureTest, WatchdogReportsStallWithoutKillingPipeline) {
   options.epoch_rows = 1;
   options.max_queued_rows = 4;
   options.max_queued_epochs = 1;
-  options.max_compute_ahead_epochs = 1;
   options.stall_timeout_seconds = 0.05;
   StreamScheduler<BlockingStrategy> scheduler(&shadow, &strategy, options);
   UpdateBatch batch;
