@@ -107,8 +107,7 @@ std::vector<std::vector<int>> IndependentViewGroups(const RootedTree& tree);
 
 // Per-node group index of IndependentViewGroups: group_of[v] == g iff v is
 // in groups[g] (0 is the deepest group, the root group is last). The
-// stream scheduler orders epoch ranges by this — same-group nodes are
-// never ancestor/descendant, so their deltas can be computed concurrently.
+// stream scheduler's canonical range order within an epoch sorts by this.
 std::vector<int> ViewGroupOf(const RootedTree& tree);
 
 // Sets mask[u] = 1 for `node` and every ancestor of `node` up to the root

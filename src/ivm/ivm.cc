@@ -138,7 +138,7 @@ Status HigherOrderIvm::LoadCheckpoint(ByteSource* src) {
     for (int v = 0; v < num_nodes; ++v) {
       FlatHashMap<double>& view = m.mutable_view(v);
       const uint64_t count = src->U64();
-      if (count * 2 * sizeof(uint64_t) > src->remaining()) {
+      if (!src->CountFits(count, 2 * sizeof(uint64_t))) {
         return Status::DataLoss("truncated HigherOrderIvm checkpoint");
       }
       for (uint64_t k = 0; k < count; ++k) {

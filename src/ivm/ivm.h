@@ -203,11 +203,6 @@ class CovarFivm {
             const ExecPolicy& policy = {})
       : db_(db), fm_(fm), ctx_(policy), maintainer_(db, CovarArenaIvmOps(fm)) {}
 
-  // Maintenance of a range reads only the range's node and its ancestors
-  // (ViewTreeMaintainer's delta scan + upward propagation), so the stream
-  // scheduler may overlap commits of nodes outside that closure.
-  static constexpr bool kMaintainReadsAncestorClosure = true;
-
   // `visible` is the per-node row watermark of the caller's epoch (see
   // ViewTreeMaintainer::ApplyBatch); nullptr reads everything committed.
   // `gate`, when non-null, write-locks each view around the fold into it.
@@ -229,7 +224,9 @@ class CovarFivm {
   // child views never changed in between, so the precomputed delta is
   // BIT-IDENTICAL to what a fresh serial ComputeDelta would produce (the
   // partitioned fold order is deterministic). ApplyRangeDelta then
-  // propagates it exactly like ApplyBatch's second half.
+  // propagates it exactly like ApplyBatch's second half. A strategy with
+  // this API maintains a range by reading only the range's node and its
+  // ancestors, so the scheduler locks just that closure against commits.
   using RangeDelta = CovarArenaView;
 
   RangeDelta ComputeRangeDelta(
@@ -258,34 +255,6 @@ class CovarFivm {
                        const size_t* visible, ViewWriteGate* gate) {
     RELBORG_TRACE_SPAN("fivm/propagate", "ivm", -1, r.node);
     maintainer_.ApplyDelta(r.node, std::move(delta), visible, gate);
-  }
-
-  // Applies a group of ranges at the SAME view-tree depth (the stream
-  // scheduler's epoch groups). Same-depth nodes are never in an
-  // ancestor/descendant relation, so no range's delta scan reads a view
-  // another range's application writes: all delta scans run concurrently
-  // (each itself partition-parallel via the nested ParallelFor), then the
-  // propagations run serially in range order. Bit-identical to calling
-  // ApplyBatch per range in the same order, for any thread count.
-  void ApplyGroup(const NodeRowRange* ranges, size_t n,
-                  const size_t* visible = nullptr,
-                  ViewWriteGate* gate = nullptr) {
-    if (n == 1) {
-      ApplyBatch(ranges[0].node, ranges[0].first, ranges[0].count, visible,
-                 gate);
-      return;
-    }
-    RELBORG_TRACE_SPAN("fivm/group", "ivm", -1, ranges[0].node);
-    const ExecContext* ctx = ctx_.enabled() ? &ctx_ : nullptr;
-    std::vector<CovarArenaView> deltas(n);
-    ctx_.ParallelFor(n, [&](size_t i) {
-      deltas[i] = maintainer_.ComputeDelta(ranges[i].node, ranges[i].first,
-                                           ranges[i].count, ctx, visible);
-    });
-    for (size_t i = 0; i < n; ++i) {
-      maintainer_.ApplyDelta(ranges[i].node, std::move(deltas[i]), visible,
-                             gate);
-    }
   }
 
   CovarMatrix Current() const {
@@ -396,8 +365,7 @@ class CovarFivm {
     for (int v = 0; v < num_nodes; ++v) {
       CovarArenaView& view = maintainer_.mutable_view(v);
       const uint64_t count = src->U64();
-      if (count * (sizeof(uint64_t) + stride * sizeof(double)) >
-          src->remaining()) {
+      if (!src->CountFits(count, sizeof(uint64_t) + stride * sizeof(double))) {
         return Status::DataLoss("truncated CovarFivm checkpoint payload");
       }
       for (uint64_t k = 0; k < count; ++k) {
@@ -425,10 +393,6 @@ class HigherOrderIvm {
   // serial, so results are identical for any thread count.
   HigherOrderIvm(const ShadowDb* db, const FeatureMap* fm,
                  const ExecPolicy& policy = {});
-
-  // Every scalar maintainer shares ViewTreeMaintainer's read footprint:
-  // the range's node plus its ancestors.
-  static constexpr bool kMaintainReadsAncestorClosure = true;
 
   void ApplyBatch(int v, size_t first, size_t count,
                   const size_t* visible = nullptr,
@@ -499,13 +463,11 @@ class FirstOrderIvm {
   FirstOrderIvm(const ShadowDb* db, const FeatureMap* fm,
                 const ExecPolicy& policy = {});
 
-  // No kMaintainReadsAncestorClosure: the delta join re-enumerates the
-  // WHOLE database, so the stream scheduler must not commit any node's
-  // rows while a batch applies — it falls back to the all-nodes read set.
-  // For the same reason there is no speculative-compute API (no
-  // RangeDelta): every epoch's write set intersects every other epoch's
-  // read set, so compute overlap is unsound here and the scheduler's
-  // compute stage forwards epochs untouched (the serial PR-5 schedule).
+  // No speculative-compute API (no RangeDelta): the delta join
+  // re-enumerates the WHOLE database, so every epoch's write set
+  // intersects every other epoch's read set. The stream scheduler's
+  // compute stage forwards its epochs untouched, and the applier locks
+  // every node against commits while a batch applies.
 
   // `visible` bounds every read (index build, delta-join enumeration) to
   // rows [0, visible[u]) of each node u; nullptr reads all committed rows.

@@ -70,9 +70,9 @@
 
 namespace relborg {
 
-// A contiguous run of rows appended to one node's shadow relation. The
-// stream scheduler hands groups of these (same view-tree depth, ascending
-// node id) to strategies that can maintain them concurrently.
+// A contiguous run of rows appended to one node's shadow relation — one
+// coalesced range of a stream epoch, as the stream scheduler hands it to a
+// strategy's per-range compute.
 struct NodeRowRange {
   int node = -1;
   size_t first = 0;

@@ -46,7 +46,8 @@
 // appears as the cross-shard aggregate under its original name plus
 // per-shard "_shard<i>" series. The router's ingress rejects count under
 // the same relborg_stream_rejected_* / *quarantine* names, in the
-// aggregate only.
+// aggregate only. Finish(&total) reports the same fold (without the
+// per-shard series) as one StreamStats projection.
 //
 // CHECKPOINTS. When ShardedStreamOptions::checkpoint_prefix is set, shard i
 // checkpoints to <prefix>shard-i.ckpt on its own epoch cadence. Resume()
@@ -96,53 +97,6 @@ struct ShardedStreamOptions {
   // stream.checkpoint.every_epochs is set.
   std::string checkpoint_prefix;
 };
-
-// Cross-shard StreamStats aggregate: counters and seconds sum, high-water
-// marks and maxima take the max, the latency mean re-weights by epochs.
-inline StreamStats AggregateShardStats(const std::vector<StreamStats>& per) {
-  StreamStats t;
-  double latency_sum = 0;
-  for (const StreamStats& s : per) {
-    t.batches += s.batches;
-    t.rows += s.rows;
-    t.epochs += s.epochs;
-    t.ranges += s.ranges;
-    t.speculated_ranges += s.speculated_ranges;
-    t.speculation_hits += s.speculation_hits;
-    t.speculation_misses += s.speculation_misses;
-    t.apply_seconds += s.apply_seconds;
-    t.commit_seconds += s.commit_seconds;
-    t.compute_seconds += s.compute_seconds;
-    t.commit_gate_wait_seconds += s.commit_gate_wait_seconds;
-    t.maintain_gate_wait_seconds += s.maintain_gate_wait_seconds;
-    t.compute_gate_wait_seconds += s.compute_gate_wait_seconds;
-    t.commit_ahead_max_epochs =
-        std::max(t.commit_ahead_max_epochs, s.commit_ahead_max_epochs);
-    t.compute_overlap_epochs_max =
-        std::max(t.compute_overlap_epochs_max, s.compute_overlap_epochs_max);
-    latency_sum += s.epoch_latency_mean_seconds * static_cast<double>(s.epochs);
-    t.epoch_latency_max_seconds =
-        std::max(t.epoch_latency_max_seconds, s.epoch_latency_max_seconds);
-    t.ingress_high_water_rows =
-        std::max(t.ingress_high_water_rows, s.ingress_high_water_rows);
-    t.epoch_queue_high_water =
-        std::max(t.epoch_queue_high_water, s.epoch_queue_high_water);
-    t.rejected_batches += s.rejected_batches;
-    t.rejected_rows += s.rejected_rows;
-    t.quarantined_batches += s.quarantined_batches;
-    t.quarantine_dropped_batches += s.quarantine_dropped_batches;
-    t.dropped_batches += s.dropped_batches;
-    t.try_push_timeouts += s.try_push_timeouts;
-    t.watchdog_stalls += s.watchdog_stalls;
-    t.checkpoints_written += s.checkpoints_written;
-    t.checkpoint_bytes += s.checkpoint_bytes;
-    t.checkpoint_seconds += s.checkpoint_seconds;
-  }
-  if (t.epochs > 0) {
-    t.epoch_latency_mean_seconds = latency_sum / static_cast<double>(t.epochs);
-  }
-  return t;
-}
 
 template <typename Strategy>
 class ShardedStreamScheduler {
@@ -243,8 +197,9 @@ class ShardedStreamScheduler {
     return first;
   }
 
-  /// Finishes every shard pipeline (ascending order), aggregates their
-  /// stats plus the router's ingress rejects into *total, and returns the
+  /// Finishes every shard pipeline (ascending order), reports the fleet's
+  /// stats through *total — the router's and every shard's registry folded
+  /// as in MetricsText(), projected like one pipeline's — and returns the
   /// first shard failure (OK when all drained cleanly). Idempotent.
   Status Finish(StreamStats* total = nullptr,
                 std::vector<StreamStats>* per_shard = nullptr) {
@@ -260,9 +215,9 @@ class ShardedStreamScheduler {
       }
     }
     if (total != nullptr) {
-      std::vector<StreamStats> all = shard_stats_;
-      all.push_back(router_metrics_.Derive());
-      *total = AggregateShardStats(all);
+      obs::MetricsRegistry merged;
+      FoldMetrics(&merged, /*per_shard_series=*/false);
+      *total = stream_internal::StreamMetrics::Register(&merged).Derive();
     }
     if (per_shard != nullptr) *per_shard = shard_stats_;
     return finish_status_;
@@ -323,11 +278,7 @@ class ShardedStreamScheduler {
   /// Safe from any thread while pipelines run.
   std::string MetricsText() const {
     obs::MetricsRegistry agg;
-    agg.MergeFrom(router_registry_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      agg.MergeFrom(shards_[s]->scheduler->metrics(),
-                    "_shard" + std::to_string(s));
-    }
+    FoldMetrics(&agg, /*per_shard_series=*/true);
     return agg.ExpositionText();
   }
 
@@ -425,6 +376,17 @@ class ShardedStreamScheduler {
       // multisets, also on Resume.
       validator_ = std::make_unique<stream_internal::BatchValidator>(
           shards_[0]->shadow.get(), options_.stream, &router_metrics_);
+    }
+  }
+
+  // Folds the router's registry and every shard's into `agg`: counters and
+  // histograms sum, gauges take the max. `per_shard_series` also adds each
+  // shard's instruments under a "_shard<i>" suffix.
+  void FoldMetrics(obs::MetricsRegistry* agg, bool per_shard_series) const {
+    agg->MergeFrom(router_registry_);
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      agg->MergeFrom(shards_[s]->scheduler->metrics(),
+                     per_shard_series ? "_shard" + std::to_string(s) : "");
     }
   }
 

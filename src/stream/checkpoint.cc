@@ -43,12 +43,7 @@ StreamCheckpointInfo DeserializeStreamCheckpointInfo(ByteSource* src) {
   info.rows = src->U64();
   info.ranges = src->U64();
   const uint64_t n = src->U64();
-  // Bound by the remaining payload so a corrupt length cannot drive a
-  // multi-gigabyte allocation before the sticky failure flag is checked.
-  if (n * sizeof(uint64_t) > src->remaining()) {
-    for (uint64_t v = 0; v < n; ++v) src->U64();  // poison the source
-    return info;
-  }
+  if (!src->CountFits(n, sizeof(uint64_t))) return info;
   info.watermark.resize(n);
   for (uint64_t v = 0; v < n; ++v) {
     info.watermark[v] = static_cast<size_t>(src->U64());
@@ -95,7 +90,7 @@ Status RestoreShadowDbPrefix(ByteSource* src, ShadowDb* db) {
       return Status::InvalidArgument(
           "checkpoint arity does not match the catalog schema");
     }
-    if (rows * (arity + 1) * sizeof(double) > src->remaining()) {
+    if (!src->CountFits(rows, (size_t{arity} + 1) * sizeof(double))) {
       return Status::DataLoss("truncated checkpoint prefix");
     }
     std::vector<std::vector<double>> values(rows,
@@ -178,15 +173,24 @@ Status ReadCheckpointFile(const std::string& path,
     std::fclose(f);
     return Status::DataLoss("truncated checkpoint header in " + path);
   }
+  // The size field sits outside the checksum: check it against the file's
+  // real length before it sizes an allocation.
+  const long header_end = std::ftell(f);
+  const bool seek_ok = header_end >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+  const long file_end = seek_ok ? std::ftell(f) : -1;
+  if (file_end < header_end ||
+      static_cast<uint64_t>(file_end - header_end) != size ||
+      std::fseek(f, header_end, SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::DataLoss("truncated or oversize checkpoint payload in " +
+                            path);
+  }
   payload->resize(size);
   const size_t got =
       size == 0 ? 0 : std::fread(payload->data(), 1, size, f);
-  // A trailing byte means the file does not match its own framing.
-  const bool trailing = std::fgetc(f) != EOF;
   std::fclose(f);
-  if (got != size || trailing) {
-    return Status::DataLoss("truncated or oversize checkpoint payload in " +
-                            path);
+  if (got != size) {
+    return Status::DataLoss("short read of checkpoint payload in " + path);
   }
   if (Fnv1a64(payload->data(), payload->size()) != checksum) {
     return Status::DataLoss("checkpoint checksum mismatch in " + path);

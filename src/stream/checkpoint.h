@@ -26,6 +26,14 @@
 // parses. ReadCheckpointFile distinguishes "no checkpoint" (kNotFound:
 // restore from scratch) from "corrupt checkpoint" (kDataLoss: surfaced,
 // never silently ignored).
+//
+// LENGTH CONTRACT: no reader trusts a stored length. ReadCheckpointFile
+// checks the header's size field (outside the checksum) against the file's
+// real length before allocating the payload, and every element count
+// inside the payload — the watermark, each node's prefix rows, each
+// strategy view — is bounded by the bytes left (ByteSource::CountFits)
+// before it sizes an allocation or a loop. A corrupt length therefore
+// fails with kDataLoss: no throw, no huge allocation, no long spin.
 #ifndef RELBORG_STREAM_CHECKPOINT_H_
 #define RELBORG_STREAM_CHECKPOINT_H_
 
@@ -90,7 +98,8 @@ Status WriteCheckpointFile(const std::string& path, const ByteSink& sink,
                            bool do_fsync, size_t* bytes_out = nullptr);
 
 // Reads and verifies a checkpoint file: kNotFound when absent, kDataLoss
-// on bad magic / size mismatch / checksum mismatch.
+// on bad magic, on a size field that disagrees with the file's length
+// (checked before the payload is allocated), or on a checksum mismatch.
 Status ReadCheckpointFile(const std::string& path,
                           std::vector<uint8_t>* payload);
 

@@ -72,7 +72,6 @@ void EpochAssembler::Seal(StreamEpoch* out) {
   out->ranges.reserve(pending_.size());
   for (Pending& pending : pending_) {
     StreamRange range;
-    range.group = group_of_[pending.node];
     range.chunk =
         db_->StageRows(pending.node, std::move(pending.rows),
                        std::move(pending.signs), next_row_[pending.node]);

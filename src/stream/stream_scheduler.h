@@ -36,11 +36,12 @@
 //     CONCURRENTLY with the applier's maintenance of EARLIER epochs.
 //     Overlap is safe on two independent grounds:
 //       - MEMORY: a per-node CommitGate excludes the committer from any
-//         node in the epoch read set the applier is currently maintaining
-//         (strategies declaring kMaintainReadsAncestorClosure lock only
-//         range nodes + ancestors; others — first-order IVM re-enumerates
-//         the whole database — lock every node, serializing commits with
-//         their maintenance but still overlapping queue/latency gaps).
+//         node in the epoch read set the applier is currently maintaining.
+//         Strategies with the speculative API below maintain a range by
+//         reading only its node and ancestors, so they lock just those;
+//         the rest — first-order IVM re-enumerates the whole database —
+//         lock every node, serializing commits with their maintenance but
+//         still overlapping queue/latency gaps.
 //       - VISIBILITY: maintenance bounds every ShadowDb read by its
 //         epoch's watermark (rows at ids >= the horizon are exactly the
 //         rows later epochs spliced early), so results never depend on how
@@ -80,17 +81,12 @@
 //     reads the whole database, so every epoch's write set intersects
 //     every probe set) are forwarded untouched and keep the serial
 //     schedule; stats report speculated_ranges == 0 for them.
-//   * The APPLIER maintains computed epochs strictly in order. Within an
-//     epoch, ranges run in canonical order — deepest view group first
-//     (IndependentViewGroups), ascending node id within a group. Because
-//     same-group nodes are never ancestor/descendant, strategies exposing
-//     ApplyGroup (CovarFivm) compute the group's deltas concurrently over
-//     the ExecContext and only serialize the propagations; strategies
-//     without it (HigherOrderIvm, FirstOrderIvm) get per-range maintenance
-//     under per-range watermarks, each free to parallelize internally.
-//     Speculated group ranges are validated (and misses recomputed) for
-//     the WHOLE group before any of the group propagates, matching
-//     ApplyGroup's compute-all-then-apply-all shape exactly.
+//   * The APPLIER maintains computed epochs strictly in order, one range
+//     at a time in canonical order — deepest view group first
+//     (IndependentViewGroups), ascending node id within a group — each
+//     under its own visibility horizon, exactly as ReplayStream does. A
+//     speculated range is validated (and recomputed on a miss) right
+//     before it propagates.
 //
 // DETERMINISM: epoch composition, application order and per-range
 // watermarks are pure functions of (stream, options); every delta is
@@ -307,12 +303,10 @@ inline StreamStats StreamMetrics::Derive() const {
 
 }  // namespace stream_internal
 
-// One coalesced node-range of an epoch: the staged ingestion chunk, the
-// node's view-group index (0 = deepest group; the root group is last), and
-// the visibility horizon of the serial replay right after this range's
-// commit — maintenance of the range bounds every per-node read by it.
+// One coalesced node-range of an epoch: the staged ingestion chunk and the
+// visibility horizon of the serial replay right after this range's commit
+// — maintenance of the range bounds every per-node read by it.
 struct StreamRange {
-  int group = 0;
   IngestChunk chunk;
   std::vector<size_t> visible;  // per node: rows visible after this commit
 };
@@ -321,11 +315,11 @@ struct StreamEpoch {
   uint64_t id = 0;
   size_t rows = 0;
   size_t batches = 0;
-  // Canonical application order: ascending (group, node).
+  // Canonical application order: ascending (view group, node).
   std::vector<StreamRange> ranges;
-  // Maintenance read set (per node): range nodes and their ancestors. The
-  // CommitGate keeps the committer out of these nodes while the epoch is
-  // being maintained by a strategy that reads only the ancestor closure.
+  // Maintenance read set (per node): range nodes and their ancestors — also
+  // the epoch's write closure. The CommitGate keeps the committer out of
+  // these nodes while a speculative strategy maintains the epoch.
   std::vector<uint8_t> reads;
   std::chrono::steady_clock::time_point sealed_at;
 };
@@ -374,38 +368,6 @@ class EpochAssembler {
 };
 
 namespace stream_internal {
-
-// Detects `void Strategy::ApplyGroup(const NodeRowRange*, size_t,
-// const size_t*)` — the hook for concurrent maintenance of same-depth
-// ranges under one visibility horizon.
-template <typename Strategy, typename = void>
-struct HasApplyGroup : std::false_type {};
-template <typename Strategy>
-struct HasApplyGroup<
-    Strategy,
-    std::void_t<decltype(std::declval<Strategy&>().ApplyGroup(
-        std::declval<const NodeRowRange*>(), size_t{0},
-        std::declval<const size_t*>()))>> : std::true_type {};
-
-// Detects `Strategy::kMaintainReadsAncestorClosure == true`: maintenance
-// of a range reads only the range's node and its ancestors, so the gate
-// can lock just the epoch's read closure. Strategies without the marker
-// (first-order IVM reads the whole database) lock every node.
-template <typename Strategy, typename = void>
-struct ReadsAncestorClosure : std::false_type {};
-template <typename Strategy>
-struct ReadsAncestorClosure<
-    Strategy, std::void_t<decltype(Strategy::kMaintainReadsAncestorClosure)>>
-    : std::bool_constant<Strategy::kMaintainReadsAncestorClosure> {};
-
-// Detects the checkpoint API (`Strategy::kCheckpointTag` plus
-// SaveCheckpoint / LoadCheckpoint). Strategies without it simply never
-// write checkpoints (the option is ignored) and cannot be restored.
-template <typename Strategy, typename = void>
-struct HasCheckpoint : std::false_type {};
-template <typename Strategy>
-struct HasCheckpoint<Strategy, std::void_t<decltype(Strategy::kCheckpointTag)>>
-    : std::true_type {};
 
 // Detects the speculative per-range compute API (`Strategy::RangeDelta`
 // plus ComputeRangeDelta / RangeDeltaValid / ApplyRangeDelta): the hook
@@ -908,44 +870,19 @@ inline void CommitEpoch(ShadowDb* shadow, StreamEpoch* epoch) {
   }
 }
 
-// Maintains one already-committed epoch, in canonical range order, each
-// read bounded by the range's (or group's) visibility horizon. Shared by
-// the scheduler's applier thread and by ReplayStream, so both paths
-// execute the exact same sequence of floating-point operations — the
-// horizons only ever exclude rows that do not exist yet in the serial
-// replay.
+// Maintains one already-committed epoch, one range at a time in canonical
+// order, each read bounded by the range's visibility horizon. Shared by the
+// scheduler's applier thread and by ReplayStream, so both paths execute the
+// exact same sequence of floating-point operations — the horizons only ever
+// exclude rows that do not exist yet in the serial replay (first-order
+// IVM's delta join re-enumerates the whole database, so no row may become
+// visible before its own range applies, even if already committed).
 template <typename Strategy>
 void MaintainEpoch(Strategy* strategy, StreamEpoch* epoch) {
-  std::vector<StreamRange>& ranges = epoch->ranges;
-  size_t i = 0;
-  while (i < ranges.size()) {
-    size_t j = i + 1;
-    if constexpr (HasApplyGroup<Strategy>::value) {
-      // Maintain the whole same-depth group at once (group maintenance
-      // reads only child VIEWS plus the group's own rows, and propagation
-      // reads strictly shallower relations) under the group's horizon:
-      // visibility after the group's LAST commit, which is exactly the
-      // committed state at this point of the serial replay.
-      while (j < ranges.size() && ranges[j].group == ranges[i].group) ++j;
-      std::vector<NodeRowRange> group;
-      group.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        const IngestChunk& chunk = ranges[k].chunk;
-        group.push_back({chunk.node, chunk.first, chunk.num_rows()});
-      }
-      strategy->ApplyGroup(group.data(), group.size(),
-                           ranges[j - 1].visible.data());
-    } else {
-      // Per-range horizons: a strategy without the group hook may read ANY
-      // relation while applying (first-order IVM's delta join re-
-      // enumerates the whole database), so no row may become VISIBLE
-      // before its own range applies — even though it may already be
-      // physically committed.
-      const IngestChunk& chunk = ranges[i].chunk;
-      strategy->ApplyBatch(chunk.node, chunk.first, chunk.num_rows(),
-                           ranges[i].visible.data());
-    }
-    i = j;
+  for (const StreamRange& range : epoch->ranges) {
+    const IngestChunk& chunk = range.chunk;
+    strategy->ApplyBatch(chunk.node, chunk.first, chunk.num_rows(),
+                         range.visible.data());
   }
 }
 
@@ -1004,55 +941,37 @@ void SpeculateEpoch(Strategy* strategy, const ShadowDb& db,
   }
 }
 
-// MaintainEpoch's speculative sibling: per range, accept the precomputed
-// delta when its observed child versions still hold at the serial point
-// (version equality implies the child views are unchanged, so the delta is
-// bit-identical to a fresh compute), else recompute serially. Group strategies
-// validate/recompute ALL of a group's ranges against the pre-group state
-// before any of the group propagates, matching ApplyGroup's
-// compute-all-then-apply-all shape; per-range strategies validate
-// immediately before each range's propagation. Horizons are identical to
-// MaintainEpoch's (the group's LAST range / the range itself).
+// Maintains one computed epoch — the applier's work, shared by the threaded
+// scheduler and its stepped twin. Without the speculative API this is
+// MaintainEpoch. With it, per range: accept the precomputed delta when its
+// observed child versions still hold at the serial point (version equality
+// implies the child views are unchanged, so the delta is bit-identical to
+// a fresh compute), else recompute serially; then propagate under the
+// range's own horizon. `gate` and `metrics` are nullable.
 template <typename Strategy>
-void MaintainEpochSpeculative(Strategy* strategy,
-                              ComputedEpoch<Strategy, true>* ce,
-                              ViewWriteGate* gate, StreamMetrics* metrics) {
-  std::vector<StreamRange>& ranges = ce->epoch.ranges;
-  RELBORG_DCHECK(ce->ranges.size() == ranges.size());
-  auto range_of = [&](size_t k) {
-    const IngestChunk& chunk = ranges[k].chunk;
-    return NodeRowRange{chunk.node, chunk.first, chunk.num_rows()};
-  };
-  // Validates cr against the current views; recomputes on a miss (or when
-  // the range was never speculated). After this call cr.delta is exactly
-  // what a serial compute at this point produces.
-  auto settle = [&](typename ComputedEpoch<Strategy, true>::Range* cr,
-                    size_t k) {
-    if (cr->speculated && strategy->RangeDeltaValid(cr->observed)) {
-      if (metrics != nullptr) metrics->speculation_hits->Inc();
-      return;
-    }
-    if (cr->speculated && metrics != nullptr) metrics->speculation_misses->Inc();
-    cr->observed.clear();
-    cr->delta = strategy->ComputeRangeDelta(range_of(k), &cr->observed);
-  };
-  size_t i = 0;
-  while (i < ranges.size()) {
-    size_t j = i + 1;
-    if constexpr (HasApplyGroup<Strategy>::value) {
-      while (j < ranges.size() && ranges[j].group == ranges[i].group) ++j;
-      const size_t* horizon = ranges[j - 1].visible.data();
-      for (size_t k = i; k < j; ++k) settle(&ce->ranges[k], k);
-      for (size_t k = i; k < j; ++k) {
-        strategy->ApplyRangeDelta(range_of(k), std::move(ce->ranges[k].delta),
-                                  horizon, gate);
+void MaintainComputedEpoch(Strategy* strategy, ComputedEpoch<Strategy>* ce,
+                           ViewWriteGate* gate, StreamMetrics* metrics) {
+  if constexpr (!HasSpeculativeCompute<Strategy>::value) {
+    MaintainEpoch(strategy, &ce->epoch);
+  } else {
+    std::vector<StreamRange>& ranges = ce->epoch.ranges;
+    RELBORG_DCHECK(ce->ranges.size() == ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      typename ComputedEpoch<Strategy>::Range& cr = ce->ranges[i];
+      const IngestChunk& chunk = ranges[i].chunk;
+      const NodeRowRange r{chunk.node, chunk.first, chunk.num_rows()};
+      if (cr.speculated && strategy->RangeDeltaValid(cr.observed)) {
+        if (metrics != nullptr) metrics->speculation_hits->Inc();
+      } else {
+        if (cr.speculated && metrics != nullptr) {
+          metrics->speculation_misses->Inc();
+        }
+        cr.observed.clear();
+        cr.delta = strategy->ComputeRangeDelta(r, &cr.observed);
       }
-    } else {
-      settle(&ce->ranges[i], i);
-      strategy->ApplyRangeDelta(range_of(i), std::move(ce->ranges[i].delta),
+      strategy->ApplyRangeDelta(r, std::move(cr.delta),
                                 ranges[i].visible.data(), gate);
     }
-    i = j;
   }
 }
 
@@ -1496,18 +1415,6 @@ class StreamScheduler {
     computed_.Close();
   }
 
-  // Maintains one computed epoch: through the speculative path (validate /
-  // recompute / propagate under the view gate) for strategies with the
-  // per-range API, else the plain serial path.
-  void Maintain(ComputedEpoch* ce) {
-    if constexpr (kSpec) {
-      stream_internal::MaintainEpochSpeculative(strategy_, ce, &view_gate_,
-                                                &m_);
-    } else {
-      stream_internal::MaintainEpoch(strategy_, &ce->epoch);
-    }
-  }
-
   void ApplyLoop() {
     obs::ThreadTraceScope trace_scope(options_.trace, "apply");
     ComputedEpoch ce;
@@ -1526,12 +1433,12 @@ class StreamScheduler {
       obs::TraceSpan apply_span("apply", "stage",
                                 static_cast<int64_t>(epoch.id));
       WallTimer timer;
-      const std::vector<uint8_t>& reads =
-          stream_internal::ReadsAncestorClosure<Strategy>::value
-              ? epoch.reads
-              : all_reads_;
+      // A speculative strategy maintains a range by reading only its node
+      // and ancestors (SpeculateEpoch relies on the same closure); the
+      // others may read any node.
+      const std::vector<uint8_t>& reads = kSpec ? epoch.reads : all_reads_;
       m_.maintain_gate_wait->Observe(gate_.BeginMaintain(reads));
-      Maintain(&ce);
+      stream_internal::MaintainComputedEpoch(strategy_, &ce, &view_gate_, &m_);
       gate_.EndMaintain(reads);
       // Release pairs with ComputeLoop's acquire: an epoch observed as
       // maintained has all its folds and version bumps visible.
@@ -1570,18 +1477,6 @@ class StreamScheduler {
   // plus each strategy's accumulator payload serialized byte-exact (FP
   // folds are never recomputed at restore — summation order would differ).
   void MaybeCheckpoint(uint64_t epoch_id) {
-    if constexpr (!stream_internal::HasCheckpoint<Strategy>::value) {
-      (void)epoch_id;
-      return;
-    } else {
-      MaybeCheckpointImpl(epoch_id);
-    }
-  }
-
-  template <typename S = Strategy,
-            typename = std::enable_if_t<
-                stream_internal::HasCheckpoint<S>::value>>
-  void MaybeCheckpointImpl(uint64_t epoch_id) {
     if (options_.checkpoint.path.empty() ||
         options_.checkpoint.every_epochs == 0) {
       return;
@@ -1941,12 +1836,8 @@ class SteppedStreamPipeline {
     computed_.pop_front();
     m_.epochs->Inc();
     m_.ranges->Inc(static_cast<double>(ce.epoch.ranges.size()));
-    if constexpr (kSpec) {
-      stream_internal::MaintainEpochSpeculative(strategy_, &ce,
-                                                /*gate=*/nullptr, &m_);
-    } else {
-      stream_internal::MaintainEpoch(strategy_, &ce.epoch);
-    }
+    stream_internal::MaintainComputedEpoch(strategy_, &ce, /*gate=*/nullptr,
+                                           &m_);
     applied_epochs_ = ce.epoch.id + 1;
     return true;
   }

@@ -65,6 +65,16 @@ class ByteSource {
   }
   void F64Span(double* p, size_t n) { ReadRaw(p, n * sizeof(double)); }
 
+  // Bounds a serialized element count by the bytes left: when `count`
+  // elements of `bytes_each` (> 0) bytes cannot fit, sets the sticky
+  // failure and returns false, so a corrupt length never drives an
+  // allocation or a read loop. Divides instead of multiplying, so no count
+  // can overflow the check.
+  bool CountFits(uint64_t count, size_t bytes_each) {
+    if (count > remaining() / bytes_each) failed_ = true;
+    return !failed_;
+  }
+
   bool ok() const { return !failed_; }
   // True iff every byte was consumed and no read overran.
   bool Exhausted() const { return !failed_ && pos_ == size_; }

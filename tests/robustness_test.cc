@@ -418,8 +418,13 @@ TEST(StreamIngressValidationTest, PushAfterFinishReportsInsteadOfAborting) {
 
 // Minimal maintenance strategy whose ApplyBatch blocks until released —
 // stalls the applier so backpressure fills every queue deterministically.
+// It has no state to checkpoint, and the tests below never enable
+// checkpointing.
 class BlockingStrategy {
  public:
+  static constexpr uint32_t kCheckpointTag = 0;
+  void SaveCheckpoint(ByteSink* /*sink*/) const {}
+
   void ApplyBatch(int /*node*/, size_t /*first*/, size_t /*count*/,
                   const size_t* /*visible*/) {
     std::unique_lock<std::mutex> lock(mu_);

@@ -24,6 +24,7 @@
 //
 // Runs under TSan in CI (reader threads hammer merged begins against N
 // concurrent pipelines' applier/committer/compute threads).
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -73,6 +74,14 @@ StreamOptions SmallEpochOptions() {
   options.epoch_rows = 96;
   options.epoch_batches = 5;
   return options;
+}
+
+std::string ShardCheckpointPrefix(const std::string& tag) {
+  return ::testing::TempDir() + "relborg_shard_" +
+#ifndef _WIN32
+         std::to_string(::getpid()) + "_" +
+#endif
+         tag + "_";
 }
 
 std::vector<UpdateBatch> MakeMixed(const RandomDb& db, uint64_t seed) {
@@ -184,6 +193,57 @@ TEST(ShardMapTest, MalformedRowsRouteDeterministically) {
 class ShardedStreamProperty
     : public ::testing::TestWithParam<std::tuple<uint64_t, Topology>> {};
 
+// The fleet's stats are one registry fold: each counter is the per-shard
+// sum plus the router's share (the router counts only its ingress
+// rejects), each high-water field the per-shard max.
+void ExpectFleetStats(const StreamStats& total,
+                      const std::vector<StreamStats>& per_shard,
+                      size_t router_rejected_batches,
+                      size_t router_rejected_rows) {
+  StreamStats sum;
+  for (const StreamStats& s : per_shard) {
+    sum.batches += s.batches;
+    sum.rows += s.rows;
+    sum.epochs += s.epochs;
+    sum.ranges += s.ranges;
+    sum.speculated_ranges += s.speculated_ranges;
+    sum.speculation_hits += s.speculation_hits;
+    sum.speculation_misses += s.speculation_misses;
+    sum.rejected_batches += s.rejected_batches;
+    sum.rejected_rows += s.rejected_rows;
+    sum.quarantined_batches += s.quarantined_batches;
+    sum.checkpoints_written += s.checkpoints_written;
+    sum.ingress_high_water_rows =
+        std::max(sum.ingress_high_water_rows, s.ingress_high_water_rows);
+    sum.epoch_queue_high_water =
+        std::max(sum.epoch_queue_high_water, s.epoch_queue_high_water);
+    sum.commit_ahead_max_epochs =
+        std::max(sum.commit_ahead_max_epochs, s.commit_ahead_max_epochs);
+    sum.compute_overlap_epochs_max =
+        std::max(sum.compute_overlap_epochs_max, s.compute_overlap_epochs_max);
+    sum.epoch_latency_max_seconds =
+        std::max(sum.epoch_latency_max_seconds, s.epoch_latency_max_seconds);
+  }
+  EXPECT_EQ(total.batches, sum.batches);
+  EXPECT_EQ(total.rows, sum.rows);
+  EXPECT_EQ(total.epochs, sum.epochs);
+  EXPECT_EQ(total.ranges, sum.ranges);
+  EXPECT_EQ(total.speculated_ranges, sum.speculated_ranges);
+  EXPECT_EQ(total.speculation_hits, sum.speculation_hits);
+  EXPECT_EQ(total.speculation_misses, sum.speculation_misses);
+  EXPECT_EQ(total.rejected_batches,
+            sum.rejected_batches + router_rejected_batches);
+  EXPECT_EQ(total.rejected_rows, sum.rejected_rows + router_rejected_rows);
+  EXPECT_EQ(total.quarantined_batches,
+            sum.quarantined_batches + router_rejected_batches);
+  EXPECT_EQ(total.checkpoints_written, sum.checkpoints_written);
+  EXPECT_EQ(total.ingress_high_water_rows, sum.ingress_high_water_rows);
+  EXPECT_EQ(total.epoch_queue_high_water, sum.epoch_queue_high_water);
+  EXPECT_EQ(total.commit_ahead_max_epochs, sum.commit_ahead_max_epochs);
+  EXPECT_EQ(total.compute_overlap_epochs_max, sum.compute_overlap_epochs_max);
+  EXPECT_EQ(total.epoch_latency_max_seconds, sum.epoch_latency_max_seconds);
+}
+
 template <typename Strategy>
 void CheckShardedMatchesUnsharded(const RandomDb& db, const FeatureMap& fm,
                                   const std::vector<UpdateBatch>& stream) {
@@ -192,27 +252,37 @@ void CheckShardedMatchesUnsharded(const RandomDb& db, const FeatureMap& fm,
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedStreamOptions options;
     options.stream = SmallEpochOptions();
+    // Checkpoints on a short cadence, so the fleet total of
+    // checkpoints_written is not vacuous.
+    options.stream.checkpoint.every_epochs = 2;
+    options.stream.checkpoint.fsync = false;
+    options.checkpoint_prefix =
+        ShardCheckpointPrefix("prop" + std::to_string(shards));
     ShardedStreamScheduler<Strategy> sched(
         db.query, /*root=*/0, &fm, ShardMap::ForQuery(db.query, 0, shards),
         MakePolicy(2), options);
     for (const UpdateBatch& batch : stream) {
       ASSERT_TRUE(sched.Push(batch).ok());
     }
+    // One malformed batch: the router rejects it before routing, so it
+    // counts in the router's share only.
+    UpdateBatch bad;
+    bad.node = -5;
+    bad.rows = {{1.0}};
+    EXPECT_EQ(sched.Push(bad).code(), StatusCode::kInvalidArgument);
     StreamStats total;
     std::vector<StreamStats> per_shard;
     ASSERT_TRUE(sched.Finish(&total, &per_shard).ok());
-    ExpectCovarExact(sched.MergedCurrent(), want);
-    // Structural accounting: rejected nothing; the aggregate counters are
-    // the per-shard sums.
-    EXPECT_EQ(total.rejected_batches, 0u);
-    size_t rows = 0, epochs = 0;
-    for (const StreamStats& s : per_shard) {
-      rows += s.rows;
-      epochs += s.epochs;
+    for (int s = 0; s < shards; ++s) {
+      std::remove(ShardedStreamScheduler<Strategy>::ShardCheckpointPath(
+                      options.checkpoint_prefix, s)
+                      .c_str());
     }
-    EXPECT_EQ(total.rows, rows);
-    EXPECT_EQ(total.epochs, epochs);
-    EXPECT_EQ(sched.global_batches(), stream.size());
+    ExpectCovarExact(sched.MergedCurrent(), want);
+    ExpectFleetStats(total, per_shard, /*router_rejected_batches=*/1,
+                     /*router_rejected_rows=*/1);
+    EXPECT_GT(total.checkpoints_written, 0u);
+    EXPECT_EQ(sched.global_batches(), stream.size() + 1);
   }
 }
 
@@ -399,14 +469,6 @@ TEST(ShardedServeTest, MergedReadsMatchPrefixOracle) {
 // ---------------------------------------------------------------------------
 // Restore: per-shard checkpoints resumed and replayed equal the straight
 // run — including one shard restarting from scratch (checkpoint deleted).
-
-std::string ShardCheckpointPrefix(const std::string& tag) {
-  return ::testing::TempDir() + "relborg_shard_" +
-#ifndef _WIN32
-         std::to_string(::getpid()) + "_" +
-#endif
-         tag + "_";
-}
 
 template <typename Strategy>
 void CheckResumeMatchesStraightRun(uint64_t seed, bool delete_one_shard) {

@@ -513,5 +513,117 @@ TEST(StreamCheckpointTest, DetectsMissingCorruptAndMismatchedFiles) {
   RemoveCheckpoint(path);
 }
 
+// --- Corrupt stored lengths ------------------------------------------------
+//
+// Each crafted payload below is framed by WriteCheckpointFile with a valid
+// checksum, so only a reader's length bound stands between a corrupt count
+// and a huge allocation, an overflowing multiply or a 2^60-step read loop.
+// Restore must fail with kDataLoss — no throw, no hang — in under a second.
+
+// Writes `sink` as a checkpoint file and restores it into a fresh engine.
+template <typename Strategy>
+Status RestoreCrafted(const RandomDb& db, const std::string& path,
+                      const ByteSink& sink) {
+  EXPECT_TRUE(WriteCheckpointFile(path, sink, /*do_fsync=*/false).ok());
+  Engine<Strategy> engine(db, 1);
+  StreamCheckpointInfo info;
+  WallTimer timer;
+  const Status st = StreamScheduler<Strategy>::RestoreFromCheckpoint(
+      path, &engine.shadow, &engine.strategy, &info);
+  EXPECT_LT(timer.Seconds(), 1.0);
+  RemoveCheckpoint(path);
+  return st;
+}
+
+// The well-formed start of an empty run's checkpoint: the header with an
+// all-zero watermark, then a ShadowDb prefix with no rows.
+void AppendEmptyPrefix(const RandomDb& db, ByteSink* sink) {
+  ShadowDb shadow(db.query, 0);
+  StreamCheckpointInfo info;
+  info.watermark.assign(shadow.tree().num_nodes(), 0);
+  SerializeStreamCheckpointInfo(info, sink);
+  SerializeShadowDbPrefix(shadow, info.watermark, sink);
+}
+
+TEST(StreamCheckpointCorruptLength, HeaderSizeFieldRejectedBeforeAllocating) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/8);
+  const std::string path = CheckpointPath("size_field");
+  ByteSink sink;
+  AppendEmptyPrefix(db, &sink);
+  ASSERT_TRUE(WriteCheckpointFile(path, sink, /*do_fsync=*/false).ok());
+  // The u64 size field follows the 8-byte magic; flipping a bit of its
+  // byte 5 claims a payload of over 2^40 bytes.
+  FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 8 + 5, SEEK_SET);
+  const int c = std::fgetc(f);
+  std::fseek(f, 8 + 5, SEEK_SET);
+  std::fputc(c ^ 0x01, f);
+  std::fclose(f);
+  std::vector<uint8_t> payload;
+  WallTimer timer;
+  EXPECT_EQ(ReadCheckpointFile(path, &payload).code(), StatusCode::kDataLoss);
+  EXPECT_LT(timer.Seconds(), 1.0);
+  EXPECT_TRUE(payload.empty());
+  RemoveCheckpoint(path);
+}
+
+TEST(StreamCheckpointCorruptLength, WatermarkCount) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/8);
+  // 2^61 + 1 overflows count * 8; 2^40 does not, but is far more than the
+  // payload holds.
+  for (const uint64_t n : {(uint64_t{1} << 61) + 1, uint64_t{1} << 40}) {
+    SCOPED_TRACE(::testing::Message() << "watermark count " << n);
+    ByteSink sink;
+    for (int field = 0; field < 4; ++field) sink.U64(0);
+    sink.U64(n);
+    sink.U64(0);
+    EXPECT_EQ(RestoreCrafted<CovarFivm>(db, CheckpointPath("watermark"), sink)
+                  .code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(StreamCheckpointCorruptLength, ShadowDbPrefixRows) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/8);
+  ShadowDb shadow(db.query, 0);
+  StreamCheckpointInfo info;
+  info.watermark.assign(shadow.tree().num_nodes(), 0);
+  ByteSink sink;
+  SerializeStreamCheckpointInfo(info, &sink);
+  sink.U32(static_cast<uint32_t>(shadow.tree().num_nodes()));
+  // rows * (arity + 1) * 8 wraps to 0 for rows = 2^61.
+  sink.U64(uint64_t{1} << 61);
+  sink.U32(static_cast<uint32_t>(shadow.relation(0).num_attrs()));
+  EXPECT_EQ(RestoreCrafted<CovarFivm>(db, CheckpointPath("prefix"), sink)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(StreamCheckpointCorruptLength, CovarFivmViewCount) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/8);
+  ByteSink sink;
+  AppendEmptyPrefix(db, &sink);
+  sink.U32(CovarFivm::kCheckpointTag);
+  // count * 8 * (1 + stride) wraps to 0 for count = 2^61.
+  sink.U64(uint64_t{1} << 61);
+  EXPECT_EQ(RestoreCrafted<CovarFivm>(db, CheckpointPath("fivm_view"), sink)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(StreamCheckpointCorruptLength, HigherOrderIvmViewCount) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/8);
+  ByteSink sink;
+  AppendEmptyPrefix(db, &sink);
+  sink.U32(HigherOrderIvm::kCheckpointTag);
+  // count * 16 wraps to 0 for count = 2^60.
+  sink.U64(uint64_t{1} << 60);
+  EXPECT_EQ(RestoreCrafted<HigherOrderIvm>(db, CheckpointPath("hoivm_view"),
+                                           sink)
+                .code(),
+            StatusCode::kDataLoss);
+}
+
 }  // namespace
 }  // namespace relborg
