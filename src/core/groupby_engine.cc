@@ -1,5 +1,6 @@
 #include "core/groupby_engine.h"
 
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace relborg {
@@ -83,6 +84,7 @@ GroupByResult ComputeGroupBy(const RootedTree& tree,
   for (const std::vector<int>& group : IndependentViewGroups(tree)) {
     ctx.ParallelFor(group.size(), [&](size_t idx) {
       int v = group[idx];
+      RELBORG_TRACE_SPAN("core/groupby-scan", "core", -1, v);
       PartitionedScan<FlatHashMap<GroupPayload>>(
           ctx, tree.relation(v).num_rows(), &views[v],
           [&](size_t begin, size_t end, FlatHashMap<GroupPayload>* acc) {
@@ -204,6 +206,7 @@ std::vector<GroupByResult> ComputeGroupByBatch(
   for (const std::vector<int>& group : IndependentViewGroups(tree)) {
     ctx.ParallelFor(group.size(), [&](size_t idx) {
       int v = group[idx];
+      RELBORG_TRACE_SPAN("core/groupby-scan", "core", -1, v);
       PartitionedScan<FlatHashMap<BatchPayload>>(
           ctx, tree.relation(v).num_rows(), &views[v],
           [&](size_t begin, size_t end, FlatHashMap<BatchPayload>* acc) {

@@ -36,13 +36,14 @@ Predicate Negate(const Predicate& p) {
 }
 
 // Evaluates a split predicate against a plain feature value (prediction
-// path; no relation involved).
+// path; no relation involved). Matches Predicate::Matches: kLt is the
+// exact complement of kGe, so a NaN value takes the no-branch.
 bool MatchesValue(const Predicate& p, double v) {
   switch (p.op) {
     case Predicate::Op::kGe:
       return v >= p.threshold;
     case Predicate::Op::kLt:
-      return v < p.threshold;
+      return !(v >= p.threshold);
     case Predicate::Op::kEq:
       return static_cast<int32_t>(v) == p.category;
     case Predicate::Op::kNe:
@@ -57,34 +58,232 @@ bool MatchesValue(const Predicate& p, double v) {
   return false;
 }
 
-double SseOf(const SplitStats& s) {
-  if (s.count <= 0) return 0;
-  double sse = s.sum_sq - s.sum * s.sum / s.count;
-  return sse < 0 ? 0 : sse;
-}
+// Regression statistics of one candidate: (COUNT, SUM(y), SUM(y^2)), with
+// the sum of squared errors as the impurity.
+struct RegressionStats {
+  using Stats = SplitStats;
+
+  static std::vector<SplitStats> Scan(
+      const JoinQuery& query, int response_node, int response_attr,
+      const FilterSet& filters, const std::vector<SplitCandidate>& batch) {
+    return ComputeSplitStats(query, response_node, response_attr, filters,
+                             batch);
+  }
+  static size_t Aggregates(size_t batch_size) {
+    return DecisionNodeBatchSize(batch_size);
+  }
+  static double Prediction(const SplitStats& s) {
+    return s.count > 0 ? s.sum / s.count : 0;
+  }
+  static double Impurity(const SplitStats& s) {
+    if (s.count <= 0) return 0;
+    double sse = s.sum_sq - s.sum * s.sum / s.count;
+    return sse < 0 ? 0 : sse;
+  }
+  static SplitStats Minus(const SplitStats& a, const SplitStats& b) {
+    return {a.count - b.count, a.sum - b.sum, a.sum_sq - b.sum_sq};
+  }
+};
 
 struct ClassStats {
   double count = 0;
   FlatHashMap<double> per_class;
 };
 
-double GiniImpurity(const ClassStats& s) {
-  if (s.count <= 0) return 0;
-  double sum_sq = 0;
-  s.per_class.ForEach([&](uint64_t, double c) { sum_sq += c * c; });
-  return s.count * (1.0 - sum_sq / (s.count * s.count));
-}
+// Classification statistics of one candidate: its per-class counts, with
+// the Gini impurity scaled by the count.
+struct ClassificationStats {
+  using Stats = ClassStats;
 
-double MajorityClass(const ClassStats& s) {
-  double best_count = -1;
-  uint64_t best_class = 0;
-  s.per_class.ForEach([&](uint64_t cls, double c) {
-    if (c > best_count) {
-      best_count = c;
-      best_class = cls;
+  static std::vector<ClassStats> Scan(
+      const JoinQuery& query, int response_node, int response_attr,
+      const FilterSet& filters, const std::vector<SplitCandidate>& batch) {
+    std::vector<FlatHashMap<double>> counts = ComputeSplitClassCounts(
+        query, response_node, response_attr, filters, batch);
+    std::vector<ClassStats> stats(counts.size());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      counts[i].ForEach([&](uint64_t, double c) { stats[i].count += c; });
+      stats[i].per_class = std::move(counts[i]);
     }
-  });
-  return static_cast<double>(UnpackLow(best_class));
+    return stats;
+  }
+  // One aggregate (a per-class count map) per candidate.
+  static size_t Aggregates(size_t batch_size) { return batch_size; }
+  // The most frequent class; ties go to the smallest class code, so the
+  // result does not depend on the map's insertion history.
+  static double Prediction(const ClassStats& s) {
+    double best_count = -1;
+    int32_t best_class = 0;
+    s.per_class.ForEach([&](uint64_t key, double c) {
+      const int32_t cls = UnpackLow(key);
+      if (c > best_count || (c == best_count && cls < best_class)) {
+        best_count = c;
+        best_class = cls;
+      }
+    });
+    return static_cast<double>(best_class);
+  }
+  static double Impurity(const ClassStats& s) {
+    if (s.count <= 0) return 0;
+    double sum_sq = 0;
+    s.per_class.ForEach([&](uint64_t, double c) { sum_sq += c * c; });
+    return s.count * (1.0 - sum_sq / (s.count * s.count));
+  }
+  // Counts are integers, so the difference is exact; classes left with no
+  // rows are dropped.
+  static ClassStats Minus(const ClassStats& a, const ClassStats& b) {
+    ClassStats d;
+    a.per_class.ForEach([&](uint64_t cls, double c) {
+      const double* sub = b.per_class.Find(cls);
+      double rest = c - (sub == nullptr ? 0.0 : *sub);
+      if (rest > 0) {
+        d.per_class[cls] += rest;
+        d.count += rest;
+      }
+    });
+    return d;
+  }
+};
+
+// Grows the tree into *nodes and returns the number of aggregates scanned.
+//
+// A node that can split needs its full candidate statistics: the batch of
+// every candidate plus the always-true base candidate, evaluated under the
+// node's path condition. The root scans its batch. At a split, both
+// children's counts are known exactly from the parent's batch, so each
+// child's ability to split is too. If both can split, the child with the
+// smaller count scans its batch and the sibling's is derived candidate by
+// candidate: stats(no AND c) = stats(parent AND c) - stats(yes AND c). If
+// one can split, it scans. A child that cannot split is a leaf whose count
+// and prediction the parent's batch already holds; it scans nothing.
+template <typename Task>
+size_t GrowTree(const JoinQuery& query, int response_node, int response_attr,
+                const std::vector<SplitCandidate>& candidates,
+                const SplitCandidate& base,
+                const std::vector<int>& candidate_feature,
+                const DecisionTreeOptions& options,
+                std::vector<DecisionTree::Node>* nodes) {
+  using Stats = typename Task::Stats;
+  std::vector<SplitCandidate> batch = candidates;
+  batch.push_back(base);
+  const size_t base_idx = candidates.size();
+
+  size_t aggregates = 0;
+  auto scan = [&](const FilterSet& filters,
+                  const std::vector<SplitCandidate>& scanned) {
+    aggregates += Task::Aggregates(scanned.size());
+    return Task::Scan(query, response_node, response_attr, filters, scanned);
+  };
+  auto set_stats = [&](int index, const Stats& s) {
+    (*nodes)[index].count = s.count;
+    (*nodes)[index].prediction = Task::Prediction(s);
+  };
+  auto can_split = [&](int depth, const Stats& s) {
+    return depth < options.max_depth && s.count >= options.min_node_count;
+  };
+
+  nodes->push_back(DecisionTree::Node{});
+  FilterSet root_filters(query.num_relations());
+  if (options.max_depth <= 0) {
+    set_stats(0, scan(root_filters, {base})[0]);
+    return aggregates;
+  }
+
+  // At most one pending sibling per level, so about max_depth stats
+  // vectors are live at once.
+  struct WorkItem {
+    int node_index;
+    FilterSet filters;
+    int depth;
+    std::vector<Stats> stats;  // the full batch, scanned or derived
+  };
+  std::vector<WorkItem> work;
+  std::vector<Stats> root_stats = scan(root_filters, batch);
+  work.push_back({0, std::move(root_filters), 0, std::move(root_stats)});
+
+  while (!work.empty()) {
+    WorkItem item = std::move(work.back());
+    work.pop_back();
+    const std::vector<Stats>& stats = item.stats;
+    const Stats& parent = stats[base_idx];
+    // A node that holds a batch takes its count and prediction from the
+    // base candidate: a scanned one is bit-equal to a base-only scan.
+    set_stats(item.node_index, parent);
+    // Only the root's count is unknown until its own batch runs.
+    if (parent.count < options.min_node_count) continue;
+
+    int best = -1;
+    double best_gain = options.min_gain;
+    const double parent_impurity = Task::Impurity(parent);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const Stats no = Task::Minus(parent, stats[i]);
+      if (stats[i].count < 1 || no.count < 1) continue;
+      double gain =
+          parent_impurity - Task::Impurity(stats[i]) - Task::Impurity(no);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = static_cast<int>(i);
+      }
+    }
+    if (best < 0) continue;  // no useful split: leaf
+
+    const Stats& yes = stats[best];
+    const Stats no = Task::Minus(parent, yes);
+    const int yes_child = static_cast<int>(nodes->size());
+    const int no_child = yes_child + 1;
+    DecisionTree::Node& node = (*nodes)[item.node_index];
+    node.is_leaf = false;
+    node.feature = candidate_feature[best];
+    node.pred = candidates[best].pred;
+    node.yes_child = yes_child;
+    node.no_child = no_child;
+    nodes->resize(nodes->size() + 2);
+    set_stats(yes_child, yes);
+    set_stats(no_child, no);
+
+    const int depth = item.depth + 1;
+    const bool yes_splits = can_split(depth, yes);
+    const bool no_splits = can_split(depth, no);
+    FilterSet yes_filters = item.filters;
+    yes_filters[candidates[best].node].push_back(candidates[best].pred);
+    FilterSet no_filters = std::move(item.filters);
+    no_filters[candidates[best].node].push_back(Negate(candidates[best].pred));
+
+    std::vector<Stats> yes_stats;
+    std::vector<Stats> no_stats;
+    auto derive = [&](const std::vector<Stats>& scanned) {
+      std::vector<Stats> sibling;
+      sibling.reserve(stats.size());
+      for (size_t i = 0; i < stats.size(); ++i) {
+        sibling.push_back(Task::Minus(stats[i], scanned[i]));
+      }
+      return sibling;
+    };
+    if (yes_splits && no_splits) {
+      if (yes.count <= no.count) {
+        yes_stats = scan(yes_filters, batch);
+        no_stats = derive(yes_stats);
+      } else {
+        no_stats = scan(no_filters, batch);
+        yes_stats = derive(no_stats);
+      }
+    } else if (yes_splits) {
+      yes_stats = scan(yes_filters, batch);
+    } else if (no_splits) {
+      no_stats = scan(no_filters, batch);
+    }
+    // Yes before no: the no child pops first, which fixes the depth-first
+    // node numbering.
+    if (yes_splits) {
+      work.push_back(
+          {yes_child, std::move(yes_filters), depth, std::move(yes_stats)});
+    }
+    if (no_splits) {
+      work.push_back(
+          {no_child, std::move(no_filters), depth, std::move(no_stats)});
+    }
+  }
+  return aggregates;
 }
 
 }  // namespace
@@ -101,10 +300,13 @@ std::vector<SplitCandidate> BuildSplitCandidates(
     if (!tf.categorical) {
       RELBORG_CHECK(rel.schema().attr(attr).type == AttrType::kDouble);
       // Quantile thresholds from (a sample of) the relation's own column.
+      // Non-finite values are left out: NaN would break the sort's strict
+      // weak ordering, and an infinite threshold splits nothing useful.
       std::vector<double> values;
       size_t stride = std::max<size_t>(1, rel.num_rows() / 20000);
       for (size_t row = 0; row < rel.num_rows(); row += stride) {
-        values.push_back(rel.Double(row, attr));
+        const double v = rel.Double(row, attr);
+        if (std::isfinite(v)) values.push_back(v);
       }
       if (values.empty()) continue;
       std::sort(values.begin(), values.end());
@@ -169,131 +371,14 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
                   ? Predicate::Ne(response_attr, -1)
                   : Predicate::Ge(response_attr,
                                   -std::numeric_limits<double>::infinity());
-  std::vector<SplitCandidate> batch = candidates;
-  batch.push_back(base);
-  // A node that cannot split evaluates the base candidate alone: the
-  // engine computes each candidate independently of the others in the
-  // batch, so its count and prediction stay bit-identical.
-  const std::vector<SplitCandidate> base_only{base};
-
-  // A node can split below max_depth once the exact count its parent
-  // computed for it reaches min_node_count (the root's count is unknown
-  // until its own batch runs).
-  auto can_split = [&](int depth, double count) {
-    return depth < options.max_depth && count >= options.min_node_count;
-  };
-  struct WorkItem {
-    int node_index;
-    FilterSet filters;
-    int depth;
-    bool can_split;
-  };
-  tree.nodes_.push_back(Node{});
-  std::vector<WorkItem> work{{0, FilterSet(query.num_relations()), 0,
-                              options.max_depth > 0}};
-
-  while (!work.empty()) {
-    WorkItem item = std::move(work.back());
-    work.pop_back();
-    Node& node = tree.nodes_[item.node_index];
-    const std::vector<SplitCandidate>& node_batch =
-        item.can_split ? batch : base_only;
-    const size_t base_idx = node_batch.size() - 1;
-
-    int best = -1;
-    double best_gain = options.min_gain;
-    Node yes_node;
-    Node no_node;
-
-    if (!classification) {
-      std::vector<SplitStats> stats = ComputeSplitStats(
-          query, response_node, response_attr, item.filters, node_batch);
-      tree.aggregates_evaluated_ += DecisionNodeBatchSize(node_batch.size());
-      const SplitStats& parent = stats[base_idx];
-      node.count = parent.count;
-      node.prediction = parent.count > 0 ? parent.sum / parent.count : 0;
-      if (!item.can_split || parent.count < options.min_node_count) {
-        continue;  // leaf
-      }
-      double parent_sse = SseOf(parent);
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        SplitStats no_stats{parent.count - stats[i].count,
-                            parent.sum - stats[i].sum,
-                            parent.sum_sq - stats[i].sum_sq};
-        if (stats[i].count < 1 || no_stats.count < 1) continue;
-        double gain = parent_sse - SseOf(stats[i]) - SseOf(no_stats);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = static_cast<int>(i);
-          yes_node.count = stats[i].count;
-          yes_node.prediction = stats[i].sum / stats[i].count;
-          no_node.count = no_stats.count;
-          no_node.prediction = no_stats.sum / no_stats.count;
-        }
-      }
-    } else {
-      std::vector<FlatHashMap<double>> counts = ComputeSplitClassCounts(
-          query, response_node, response_attr, item.filters, node_batch);
-      tree.aggregates_evaluated_ += node_batch.size();
-      ClassStats parent;
-      counts[base_idx].ForEach([&](uint64_t cls, double c) {
-        parent.per_class[cls] += c;
-        parent.count += c;
-      });
-      node.count = parent.count;
-      node.prediction = MajorityClass(parent);
-      if (!item.can_split || parent.count < options.min_node_count) {
-        continue;
-      }
-      double parent_gini = GiniImpurity(parent);
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        ClassStats yes;
-        counts[i].ForEach([&](uint64_t cls, double c) {
-          yes.per_class[cls] += c;
-          yes.count += c;
-        });
-        ClassStats no;
-        parent.per_class.ForEach([&](uint64_t cls, double c) {
-          const double* y = yes.per_class.Find(cls);
-          double rest = c - (y == nullptr ? 0.0 : *y);
-          if (rest > 0) {
-            no.per_class[cls] += rest;
-            no.count += rest;
-          }
-        });
-        if (yes.count < 1 || no.count < 1) continue;
-        double gain = parent_gini - GiniImpurity(yes) - GiniImpurity(no);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = static_cast<int>(i);
-          yes_node.count = yes.count;
-          yes_node.prediction = MajorityClass(yes);
-          no_node.count = no.count;
-          no_node.prediction = MajorityClass(no);
-        }
-      }
-    }
-
-    if (best < 0) continue;  // no useful split: leaf
-    node.is_leaf = false;
-    node.feature = candidate_feature[best];
-    node.pred = candidates[best].pred;
-    node.yes_child = static_cast<int>(tree.nodes_.size());
-    node.no_child = node.yes_child + 1;
-    tree.nodes_.push_back(yes_node);
-    tree.nodes_.push_back(no_node);
-
-    FilterSet yes_filters = item.filters;
-    yes_filters[candidates[best].node].push_back(candidates[best].pred);
-    FilterSet no_filters = std::move(item.filters);
-    no_filters[candidates[best].node].push_back(Negate(candidates[best].pred));
-    work.push_back({tree.nodes_[item.node_index].yes_child,
-                    std::move(yes_filters), item.depth + 1,
-                    can_split(item.depth + 1, yes_node.count)});
-    work.push_back({tree.nodes_[item.node_index].no_child,
-                    std::move(no_filters), item.depth + 1,
-                    can_split(item.depth + 1, no_node.count)});
-  }
+  tree.aggregates_evaluated_ =
+      classification
+          ? GrowTree<ClassificationStats>(query, response_node, response_attr,
+                                          candidates, base, candidate_feature,
+                                          options, &tree.nodes_)
+          : GrowTree<RegressionStats>(query, response_node, response_attr,
+                                      candidates, base, candidate_feature,
+                                      options, &tree.nodes_);
   return tree;
 }
 

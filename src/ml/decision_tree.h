@@ -1,10 +1,15 @@
 // CART decision trees trained over aggregates (Sec. 2.2).
 //
-// Each tree node that can still split evaluates its whole batch of
-// candidate-split cost functions through the decision-node engine (shared
-// factorized messages) instead of scanning a materialized data matrix:
-// VARIANCE(Y) under the path condition AND the split condition for
-// regression, per-class counts (Gini) for classification.
+// Each tree node that can still split needs its whole batch of
+// candidate-split cost functions: VARIANCE(Y) under the path condition AND
+// the split condition for regression, per-class counts (Gini) for
+// classification. The root scans its batch through the decision-node
+// engine (shared factorized messages) instead of a materialized data
+// matrix. Below it, the aggregates live in rings with additive inverses,
+// so a split scans only the smaller child's batch and derives the
+// sibling's as parent minus scanned, candidate by candidate (the
+// histogram-subtraction trick of gradient-boosted trees). A leaf takes its
+// count and prediction from its parent's batch and scans nothing.
 #ifndef RELBORG_ML_DECISION_TREE_H_
 #define RELBORG_ML_DECISION_TREE_H_
 
@@ -72,16 +77,23 @@ class DecisionTree {
   const Node& node(int i) const { return nodes_[i]; }
   int depth() const;
 
-  // Total number of candidate-split aggregates evaluated during training
-  // (the "decision node" rows of Fig. 5 count one node's batch). A node
-  // that can split evaluates the whole batch: every candidate plus the
-  // always-true base candidate. Any other node evaluates the base
-  // candidate alone. A node can split when its depth is below max_depth
-  // and, below the root, the exact count its parent computed for it is at
-  // least min_node_count. Regression counts 3 aggregates per evaluated
-  // candidate (DecisionNodeBatchSize): 3 x (batch size) per node that can
-  // split plus 3 per node that cannot. Classification counts 1 (a
-  // per-class count map) per evaluated candidate.
+  // Total number of candidate-split aggregates scanned during training
+  // (the "decision node" rows of Fig. 5 count one node's batch). A batch
+  // is every candidate plus the always-true base candidate. A node can
+  // split when its depth is below max_depth and, below the root, the exact
+  // count its parent computed for it is at least min_node_count. The root
+  // scans one batch (the base candidate alone when max_depth is 0). Each
+  // split scans one more batch if a child can split: that child's, or,
+  // when both can, the one with the smaller count, the sibling's batch
+  // being derived by subtraction and not counted. Leaves scan nothing.
+  // Regression counts 3 aggregates per scanned candidate
+  // (DecisionNodeBatchSize); classification counts 1 (a per-class count
+  // map).
+  //
+  // Rounding: counts and class counts are integers, so derived ones are
+  // exact. A derived or parent-held regression SUM(y) / SUM(y^2) differs
+  // from a direct scan of the node's rows by rounding only (predictions
+  // within 1e-12 relative on Retailer).
   size_t aggregates_evaluated() const { return aggregates_evaluated_; }
 
  private:

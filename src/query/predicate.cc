@@ -19,7 +19,7 @@ bool Predicate::Matches(const Relation& rel, size_t row) const {
     case Op::kGe:
       return rel.AsDouble(row, attr) >= threshold;
     case Op::kLt:
-      return rel.AsDouble(row, attr) < threshold;
+      return !(rel.AsDouble(row, attr) >= threshold);
     case Op::kEq:
       return rel.Cat(row, attr) == category;
     case Op::kNe:

@@ -14,7 +14,9 @@ namespace relborg {
 struct Predicate {
   enum class Op : uint8_t {
     kGe,     // continuous: value >= threshold
-    kLt,     // continuous: value <  threshold
+    kLt,     // continuous: !(value >= threshold), the exact complement of
+             // kGe: a NaN value fails kGe and matches kLt, so a tree
+             // split's yes- and no-branches partition the rows
     kEq,     // categorical: code == category
     kNe,     // categorical: code != category
     kInSet,  // categorical: code in set

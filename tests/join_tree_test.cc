@@ -1,4 +1,6 @@
 // Unit tests for src/query: join trees, rooting, predicates, width.
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "query/join_tree.h"
 #include "query/predicate.h"
@@ -90,6 +92,22 @@ TEST(PredicateTest, Matches) {
   EXPECT_TRUE(Predicate::NotInSet(1, {4}).Matches(r, 0));
   EXPECT_TRUE(RowPasses(r, 0, {Predicate::Ge(0, 1.0), Predicate::Eq(1, 3)}));
   EXPECT_FALSE(RowPasses(r, 0, {Predicate::Ge(0, 2.0), Predicate::Eq(1, 3)}));
+}
+
+TEST(PredicateTest, LtIsTheExactComplementOfGe) {
+  Schema s({{"x", AttrType::kDouble}});
+  Relation r("R", s);
+  r.AppendRow({std::numeric_limits<double>::quiet_NaN()});
+  r.AppendRow({1.0});
+  r.AppendRow({0.5});
+  for (size_t row = 0; row < r.num_rows(); ++row) {
+    EXPECT_NE(Predicate::Ge(0, 1.0).Matches(r, row),
+              Predicate::Lt(0, 1.0).Matches(r, row))
+        << "row " << row;
+  }
+  // NaN fails every comparison, so it takes the Lt side.
+  EXPECT_FALSE(Predicate::Ge(0, 1.0).Matches(r, 0));
+  EXPECT_TRUE(Predicate::Lt(0, 1.0).Matches(r, 0));
 }
 
 TEST(WidthTest, AcyclicQueries) {

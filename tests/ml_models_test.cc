@@ -6,6 +6,7 @@
 
 #include "baseline/materializer.h"
 #include "core/covar_engine.h"
+#include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "ml/decision_tree.h"
 #include "ml/fd_reparam.h"
@@ -29,7 +30,9 @@ struct TreeFixture {
   JoinQuery query;
 };
 
-void BuildTreeDb(TreeFixture* fx, int rows = 2000) {
+// With nan_x_every > 0, every nan_x_every-th F.x (from row 0) is NaN; the
+// response is drawn as if it were not.
+void BuildTreeDb(TreeFixture* fx, int rows = 2000, int nan_x_every = 0) {
   Schema fact({{"k", AttrType::kCategorical},
                {"x", AttrType::kDouble},
                {"y", AttrType::kDouble}});
@@ -51,6 +54,9 @@ void BuildTreeDb(TreeFixture* fx, int rows = 2000) {
     // Piecewise response: step on x at 0.5, step on z at 0.
     double y = (x >= 0.5 ? 5.0 : 0.0) + (zs[k] >= 0 ? 2.0 : 0.0) +
                rng.Gaussian(0, 0.1);
+    if (nan_x_every > 0 && i % nan_x_every == 0) {
+      x = std::numeric_limits<double>::quiet_NaN();
+    }
     f->AppendRow({static_cast<double>(k), x, y});
   }
   fx->query.AddRelation(f);
@@ -197,13 +203,46 @@ void ForEachPath(const DecisionTree& tree, const JoinQuery& query,
   }
 }
 
-// Whether DecisionTree::Train evaluates the full candidate batch at a node:
-// below max_depth, the root always, any other node once its count reaches
-// min_node_count.
-bool EvaluatesFullBatch(const PathNode& p, double count,
-                        const DecisionTreeOptions& opts) {
-  return p.depth < opts.max_depth &&
-         (p.index == 0 || count >= opts.min_node_count);
+// |a - b| relative to the larger magnitude; 0 when both are 0.
+double RelDiff(double a, double b) {
+  const double scale = std::max(std::abs(a), std::abs(b));
+  return scale == 0 ? 0 : std::abs(a - b) / scale;
+}
+
+// The batches DecisionTree::Train scans, recomputed from the tree's shape.
+// A node can split below max_depth once its count reaches min_node_count.
+// The root scans its batch (a base-only one at max_depth 0). A split with
+// one child that can split scans that child's batch; a split with two
+// scans the smaller child's and derives its sibling's (counted in
+// `derived`). Nothing else scans.
+struct ScannedBatches {
+  size_t full = 0;
+  size_t base_only = 0;
+  int derived = 0;
+};
+
+ScannedBatches ExpectedScans(const DecisionTree& tree, const JoinQuery& query,
+                             const std::vector<TreeFeature>& features,
+                             const DecisionTreeOptions& opts) {
+  ScannedBatches scans;
+  if (opts.max_depth <= 0) {
+    scans.base_only = 1;
+    return scans;
+  }
+  scans.full = 1;
+  ForEachPath(tree, query, features, [&](const PathNode& p) {
+    const DecisionTree::Node& n = tree.node(p.index);
+    if (n.is_leaf) return;
+    auto splits = [&](int child) {
+      return p.depth + 1 < opts.max_depth &&
+             tree.node(child).count >= opts.min_node_count;
+    };
+    const bool yes = splits(n.yes_child);
+    const bool no = splits(n.no_child);
+    if (yes || no) ++scans.full;
+    if (yes && no) ++scans.derived;
+  });
+  return scans;
 }
 
 TEST(DecisionTreeTest, NodeStatsMatchBaseCandidateAlone) {
@@ -226,25 +265,30 @@ TEST(DecisionTreeTest, NodeStatsMatchBaseCandidateAlone) {
   const size_t batch =
       BuildSplitCandidates(fx.query, features, opts, nullptr).size() + 1;
 
-  size_t expected_aggregates = 0;
   int stopped_by_depth = 0;
   int stopped_by_count = 0;
   ForEachPath(tree, fx.query, features, [&](const PathNode& p) {
     const DecisionTree::Node& n = tree.node(p.index);
     const SplitStats s = ComputeSplitStats(fx.query, response_node,
                                            response_attr, p.filters, {base})[0];
+    // Counts are exact whether scanned or derived; sums of a derived or
+    // parent-held node differ from a direct scan by rounding only.
     EXPECT_EQ(Bits(n.count), Bits(s.count)) << "node " << p.index;
-    EXPECT_EQ(Bits(n.prediction), Bits(s.count > 0 ? s.sum / s.count : 0))
+    EXPECT_LE(RelDiff(n.prediction, s.count > 0 ? s.sum / s.count : 0), 1e-9)
         << "node " << p.index;
-    const bool full = EvaluatesFullBatch(p, n.count, opts);
-    expected_aggregates += DecisionNodeBatchSize(full ? batch : 1);
-    if (!full) ++(p.depth >= opts.max_depth ? stopped_by_depth
-                                            : stopped_by_count);
+    if (p.depth >= opts.max_depth) {
+      ++stopped_by_depth;
+    } else if (p.index != 0 && n.count < opts.min_node_count) {
+      ++stopped_by_count;
+    }
   });
-  EXPECT_EQ(tree.aggregates_evaluated(), expected_aggregates);
-  // Both reasons a node cannot split occur.
+  const ScannedBatches scans = ExpectedScans(tree, fx.query, features, opts);
+  EXPECT_EQ(tree.aggregates_evaluated(),
+            DecisionNodeBatchSize(scans.full * batch + scans.base_only));
+  // Both reasons a node cannot split occur, and some sibling is derived.
   EXPECT_GT(stopped_by_depth, 0);
   EXPECT_GT(stopped_by_count, 0);
+  EXPECT_GT(scans.derived, 0);
 }
 
 TEST(DecisionTreeTest, ClassificationNodeCountsMatchBaseCandidateAlone) {
@@ -264,30 +308,261 @@ TEST(DecisionTreeTest, ClassificationNodeCountsMatchBaseCandidateAlone) {
   const size_t batch =
       BuildSplitCandidates(fx.query, features, opts, nullptr).size() + 1;
 
-  size_t expected_aggregates = 0;
-  int base_only = 0;
+  int leaves = 0;
   ForEachPath(tree, fx.query, features, [&](const PathNode& p) {
     const DecisionTree::Node& n = tree.node(p.index);
     const FlatHashMap<double> counts = ComputeSplitClassCounts(
         fx.query, response_node, response_attr, p.filters, {base})[0];
     double total = 0;
     double majority = -1;
-    counts.ForEach([&](uint64_t, double c) {
+    int32_t majority_class = 0;
+    counts.ForEach([&](uint64_t key, double c) {
       total += c;
-      majority = std::max(majority, c);
+      const int32_t cls = UnpackLow(key);
+      if (c > majority || (c == majority && cls < majority_class)) {
+        majority = c;
+        majority_class = cls;
+      }
     });
+    // Class counts are integers, so subtraction is exact: counts and the
+    // majority (smallest class code on a tie) match a direct scan.
     EXPECT_EQ(Bits(n.count), Bits(total)) << "node " << p.index;
-    const double* predicted =
-        counts.Find(PackKey1(static_cast<int32_t>(n.prediction)));
-    ASSERT_NE(predicted, nullptr) << "node " << p.index;
-    EXPECT_EQ(*predicted, majority) << "node " << p.index;
-    const bool full = EvaluatesFullBatch(p, n.count, opts);
-    // One aggregate (a per-class count map) per candidate.
-    expected_aggregates += full ? batch : 1;
-    if (!full) ++base_only;
+    EXPECT_EQ(n.prediction, static_cast<double>(majority_class))
+        << "node " << p.index;
+    if (n.is_leaf) ++leaves;
   });
-  EXPECT_EQ(tree.aggregates_evaluated(), expected_aggregates);
-  EXPECT_GT(base_only, 0);
+  const ScannedBatches scans = ExpectedScans(tree, fx.query, features, opts);
+  // One aggregate (a per-class count map) per candidate.
+  EXPECT_EQ(tree.aggregates_evaluated(), scans.full * batch + scans.base_only);
+  EXPECT_GT(scans.derived, 0);
+  EXPECT_GT(leaves, 0);
+}
+
+TEST(DecisionTreeTest, MajorityTiesGoToTheSmallestClassCode) {
+  Catalog catalog;
+  Schema fact({{"k", AttrType::kCategorical},
+               {"x", AttrType::kDouble},
+               {"label", AttrType::kCategorical}});
+  Schema dim({{"k", AttrType::kCategorical}});
+  Relation* f = catalog.AddRelation("F", fact);
+  Relation* d = catalog.AddRelation("D", dim);
+  d->AppendRow({0});
+  // x < 1: labels 8 and 1 tie at 100 rows (8 seen first), 0 has 20.
+  // x >= 1: labels 5 and 3 tie at 100 rows (5 seen first).
+  for (int i = 0; i < 100; ++i) {
+    f->AppendRow({0, -1.0, 8});
+    f->AppendRow({0, -1.0, 1});
+    f->AppendRow({0, 1.0, 5});
+    f->AppendRow({0, 1.0, 3});
+    if (i < 20) f->AppendRow({0, -1.0, 0});
+  }
+  JoinQuery q;
+  q.AddRelation(f);
+  q.AddRelation(d);
+  q.AddJoin("F", "D", {"k"});
+  DecisionTreeOptions opts;
+  opts.max_depth = 1;
+  DecisionTree tree = DecisionTree::TrainClassification(
+      q, FeatureRef{"F", "label"}, {{"F", "x", false}}, opts);
+  ASSERT_EQ(tree.num_nodes(), 3);
+  const DecisionTree::Node& root = tree.node(0);
+  ASSERT_EQ(root.pred.op, Predicate::Op::kGe);
+  EXPECT_EQ(root.pred.threshold, 1.0);
+  // The yes leaf holds a scanned count map, the no leaf a derived one.
+  EXPECT_EQ(tree.node(root.yes_child).prediction, 3.0);
+  EXPECT_EQ(tree.node(root.no_child).prediction, 1.0);
+  double row[1] = {-1.0};
+  EXPECT_EQ(tree.Predict(row), 1.0);
+
+  // A four-way tie at the root between 8, 1, 5 and 3: 1 wins.
+  opts.max_depth = 0;
+  DecisionTree stump = DecisionTree::TrainClassification(
+      q, FeatureRef{"F", "label"}, {{"F", "x", false}}, opts);
+  ASSERT_EQ(stump.num_nodes(), 1);
+  EXPECT_EQ(stump.node(0).count, 420.0);
+  EXPECT_EQ(stump.node(0).prediction, 1.0);
+  EXPECT_EQ(stump.aggregates_evaluated(), 1u);  // the base candidate alone
+}
+
+// Whether Predict sends feature value v to the yes child of a split on p.
+bool TakesYes(const Predicate& p, double v) {
+  switch (p.op) {
+    case Predicate::Op::kGe:
+      return v >= p.threshold;
+    case Predicate::Op::kEq:
+      return static_cast<int32_t>(v) == p.category;
+    default:
+      ADD_FAILURE() << "trees split on kGe and kEq only";
+      return false;
+  }
+}
+
+// Routes every row of `data` through `tree` as Predict does. At every node
+// the rows visited must number exactly node.count, and their mean response
+// (column response_col) must match node.prediction within 1e-9 relative.
+void ExpectNodesMatchRoutedRows(const DecisionTree& tree,
+                                const DataMatrix& data, int response_col) {
+  std::vector<double> rows(tree.num_nodes(), 0.0);
+  std::vector<double> sums(tree.num_nodes(), 0.0);
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    const double* row = data.Row(r);
+    int i = 0;
+    while (true) {
+      rows[i] += 1;
+      sums[i] += row[response_col];
+      const DecisionTree::Node& n = tree.node(i);
+      if (n.is_leaf) break;
+      i = TakesYes(n.pred, row[n.feature]) ? n.yes_child : n.no_child;
+    }
+    ASSERT_EQ(tree.Predict(row), tree.node(i).prediction) << "row " << r;
+  }
+  for (int i = 0; i < tree.num_nodes(); ++i) {
+    const DecisionTree::Node& n = tree.node(i);
+    EXPECT_EQ(n.count, rows[i]) << "node " << i;
+    if (rows[i] > 0) {
+      EXPECT_LE(RelDiff(n.prediction, sums[i] / rows[i]), 1e-9)
+          << "node " << i;
+    }
+    if (!n.is_leaf) {
+      EXPECT_EQ(tree.node(n.yes_child).count + tree.node(n.no_child).count,
+                n.count)
+          << "node " << i;
+    }
+  }
+}
+
+double Sse(const SplitStats& s) {
+  if (s.count <= 0) return 0;
+  const double sse = s.sum_sq - s.sum * s.sum / s.count;
+  return sse < 0 ? 0 : sse;
+}
+
+// At every split node, the chosen split's gain recomputed from direct
+// base-only batches over each child's path must be within 1e-9 relative of
+// the best gain over a direct batch at the node.
+void ExpectChosenSplitsAreBest(const DecisionTree& tree,
+                               const JoinQuery& query,
+                               const FeatureRef& response,
+                               const std::vector<TreeFeature>& features,
+                               const DecisionTreeOptions& opts) {
+  const int response_node = query.IndexOf(response.relation);
+  const int response_attr =
+      query.relation(response_node)->schema().MustIndexOf(response.attr);
+  const SplitCandidate base{
+      response_node,
+      Predicate::Ge(response_attr, -std::numeric_limits<double>::infinity())};
+  std::vector<SplitCandidate> batch =
+      BuildSplitCandidates(query, features, opts, nullptr);
+  batch.push_back(base);
+  int splits = 0;
+  ForEachPath(tree, query, features, [&](const PathNode& p) {
+    const DecisionTree::Node& n = tree.node(p.index);
+    if (n.is_leaf) return;
+    ++splits;
+    const std::vector<SplitStats> direct =
+        ComputeSplitStats(query, response_node, response_attr, p.filters,
+                          batch);
+    const SplitStats& parent = direct.back();
+    double best_gain = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i + 1 < direct.size(); ++i) {
+      const SplitStats no{parent.count - direct[i].count,
+                          parent.sum - direct[i].sum,
+                          parent.sum_sq - direct[i].sum_sq};
+      if (direct[i].count < 1 || no.count < 1) continue;
+      best_gain =
+          std::max(best_gain, Sse(parent) - Sse(direct[i]) - Sse(no));
+    }
+    const int rel = query.IndexOf(features[n.feature].relation);
+    FilterSet yes_filters = p.filters;
+    yes_filters[rel].push_back(n.pred);
+    FilterSet no_filters = p.filters;
+    no_filters[rel].push_back(Negated(n.pred));
+    const SplitStats yes = ComputeSplitStats(query, response_node,
+                                             response_attr, yes_filters,
+                                             {base})[0];
+    const SplitStats no = ComputeSplitStats(query, response_node,
+                                            response_attr, no_filters,
+                                            {base})[0];
+    EXPECT_EQ(yes.count + no.count, parent.count) << "node " << p.index;
+    const double chosen = Sse(parent) - Sse(yes) - Sse(no);
+    EXPECT_LE(RelDiff(chosen, best_gain), 1e-9) << "node " << p.index;
+  });
+  EXPECT_GT(splits, 0);
+}
+
+TEST(DecisionTreeTest, NanFeatureValuesTakeTheNoBranch) {
+  TreeFixture fx;
+  BuildTreeDb(&fx, 2000, /*nan_x_every=*/5);
+  std::vector<TreeFeature> features{
+      {"F", "x", false}, {"D", "z", false}, {"D", "g", true}};
+  DecisionTreeOptions opts;
+  opts.max_depth = 3;
+
+  std::vector<int> candidate_feature;
+  const std::vector<SplitCandidate> candidates =
+      BuildSplitCandidates(fx.query, features, opts, &candidate_feature);
+  std::vector<double> last(features.size(),
+                           -std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Predicate& p = candidates[i].pred;
+    if (p.op != Predicate::Op::kGe) continue;
+    EXPECT_TRUE(std::isfinite(p.threshold)) << "candidate " << i;
+    EXPECT_GT(p.threshold, last[candidate_feature[i]]) << "candidate " << i;
+    last[candidate_feature[i]] = p.threshold;
+  }
+
+  const FeatureRef response{"F", "y"};
+  DecisionTree tree =
+      DecisionTree::TrainRegression(fx.query, response, features, opts);
+  ASSERT_GT(tree.num_nodes(), 1);
+  EXPECT_EQ(tree.node(0).count, 2000.0);  // every F row joins D
+  bool splits_on_x = false;
+  for (int i = 0; i < tree.num_nodes(); ++i) {
+    splits_on_x |= !tree.node(i).is_leaf && tree.node(i).feature == 0;
+  }
+  EXPECT_TRUE(splits_on_x);
+  const DataMatrix data = MaterializeJoin(
+      fx.query.Root("F"),
+      std::vector<ColumnRef>{{"F", "x"}, {"D", "z"}, {"D", "g"}, {"F", "y"}});
+  ExpectNodesMatchRoutedRows(tree, data, 3);
+  ExpectChosenSplitsAreBest(tree, fx.query, response, features, opts);
+}
+
+TEST(DecisionTreeTest, NodesMatchTheMaterializedJoinOnSyntheticData) {
+  TreeFixture fx;
+  BuildTreeDb(&fx);
+  std::vector<TreeFeature> features{
+      {"F", "x", false}, {"D", "z", false}, {"D", "g", true}};
+  DecisionTreeOptions opts;
+  opts.min_node_count = 100;
+  const FeatureRef response{"F", "y"};
+  DecisionTree tree =
+      DecisionTree::TrainRegression(fx.query, response, features, opts);
+  ASSERT_GT(tree.num_nodes(), 7);
+  const DataMatrix data = MaterializeJoin(
+      fx.query.Root("F"),
+      std::vector<ColumnRef>{{"F", "x"}, {"D", "z"}, {"D", "g"}, {"F", "y"}});
+  ExpectNodesMatchRoutedRows(tree, data, 3);
+  ExpectChosenSplitsAreBest(tree, fx.query, response, features, opts);
+}
+
+TEST(DecisionTreeTest, NodesMatchTheMaterializedJoinOnRetailer) {
+  GenOptions gen;
+  gen.scale = 0.01;
+  Dataset ds = MakeRetailer(gen);
+  // The continuous features but the response, which comes last.
+  std::vector<TreeFeature> features;
+  for (size_t f = 0; f + 1 < ds.features.size(); ++f) {
+    features.push_back({ds.features[f].relation, ds.features[f].attr, false});
+  }
+  const DecisionTreeOptions opts;
+  DecisionTree tree =
+      DecisionTree::TrainRegression(ds.query, ds.response, features, opts);
+  ASSERT_GT(tree.num_nodes(), 7);
+  const FeatureMap fm(ds.query, ds.features);
+  const DataMatrix data = MaterializeJoin(ds.RootAtFact(), fm);
+  ExpectNodesMatchRoutedRows(tree, data, fm.num_features() - 1);
+  ExpectChosenSplitsAreBest(tree, ds.query, ds.response, features, opts);
 }
 
 // --- PCA ---

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/groupby_engine.h"
 #include "gtest/gtest.h"
 #include "ivm/ivm.h"
 #include "ivm/update_stream.h"
@@ -335,6 +336,28 @@ TEST(ObsTrace, TailStringToleratesConcurrentRecording) {
   }
   stop.store(true);
   for (auto& w : writers) w.join();
+}
+
+// The batch engines record on the calling thread, one span per relation
+// scan: a group-by pass, single or batched, scans every relation once.
+TEST(ObsTrace, GroupByRecordsOneScanSpanPerRelation) {
+  RandomDb db = MakeRandomDb(5, Topology::kBushy);
+  const RootedTree tree = db.query.Root(0);
+  obs::TraceRecorder recorder;
+  {
+    obs::ThreadTraceScope scope(&recorder, "engine");
+    (void)ComputeGroupBy(tree, GroupByAggregate{});
+    (void)ComputeGroupByBatch(tree, {GroupByAggregate{}, GroupByAggregate{}});
+  }
+  const std::string json = recorder.ExportChromeJson();
+  const std::string name = "\"name\":\"core/groupby-scan\"";
+  int spans = 0;
+  for (size_t at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 2 * tree.num_nodes());
+  EXPECT_EQ(recorder.dropped(), 0u);
 }
 
 #else  // RELBORG_OBS_NO_TRACE
