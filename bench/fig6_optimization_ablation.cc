@@ -5,7 +5,8 @@
 //   + specialization   static per-node code paths instead of interpreted
 //                      expressions and generic hash tables,
 //   + sharing          one pass with the covariance ring instead of one
-//                      pass per aggregate,
+//                      pass per aggregate, each view storing only its
+//                      subtree's moments (scope-width payloads),
 //   + parallelization  task parallelism across subtrees and domain
 //                      parallelism over the root relation.
 //
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/covar_compressed.h"
 #include "core/covar_engine.h"
 #include "data/dataset.h"
 #include "util/timer.h"
@@ -32,9 +32,9 @@ void Run() {
   bench::PrintHeader("FIG 6",
                      "Covariance computation: added optimizations, relative "
                      "speedup over unspecialized per-aggregate baseline");
-  std::printf("%-10s %6s | %9s %9s %9s %9s %9s | speedups (cumulative)\n",
+  std::printf("%-10s %6s | %9s %9s %9s %9s | speedups (cumulative)\n",
               "dataset", "#aggs", "base(s)", "+spec(s)", "+share(s)",
-              "+compr(s)", "+par(s)");
+              "+par(s)");
 
   for (const std::string& name : DatasetNames()) {
     GenOptions gen;
@@ -66,31 +66,21 @@ void Run() {
     double interpreted = time_mode(ExecMode::kPerAggregateInterpreted);
     double specialized = time_mode(ExecMode::kPerAggregate);
     double shared = time_mode(ExecMode::kShared);
-    // Payload compression: LMFAO's subtree-restricted view payloads.
-    double compressed = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      WallTimer t;
-      CovarMatrix m = ComputeCovarMatrixCompressed(tree, fm);
-      compressed = std::min(compressed, t.Seconds());
-      (void)m;
-    }
     double parallel = time_mode(ExecMode::kSharedParallel);
     const int par_threads = ExecPolicy::FromEnv().threads;
 
     bench::Report("interpreted_seconds/" + name, interpreted, "s");
     bench::Report("specialized_seconds/" + name, specialized, "s");
     bench::Report("shared_seconds/" + name, shared, "s");
-    bench::Report("compressed_seconds/" + name, compressed, "s");
     bench::Report("parallel_seconds/" + name, parallel, "s", par_threads);
     bench::Report("cumulative_speedup/" + name, interpreted / parallel, "x",
                   par_threads);
     std::printf(
-        "%-10s %6zu | %9.3f %9.3f %9.3f %9.3f %9.3f | 1x -> %.1fx -> %.1fx "
-        "-> %.1fx -> %.1fx\n",
+        "%-10s %6zu | %9.3f %9.3f %9.3f %9.3f | 1x -> %.1fx -> %.1fx "
+        "-> %.1fx\n",
         name.c_str(), CovarBatchSize(fm.num_features()), interpreted,
-        specialized, shared, compressed, parallel, interpreted / specialized,
-        interpreted / shared, interpreted / compressed,
-        interpreted / parallel);
+        specialized, shared, parallel, interpreted / specialized,
+        interpreted / shared, interpreted / parallel);
   }
   std::printf("\nPaper (4 vCPUs): cumulative speedups of roughly 2-6x "
               "(specialization), 10-60x (+sharing), 30-128x "

@@ -24,6 +24,17 @@ const std::vector<Predicate>& NodeFilters(const FilterSet& filters, int v) {
 // Each view keeps its payloads in one contiguous CovarArena buffer; the
 // per-row work is the fused CovarSpanLiftMulAdd kernel, so the hot loop
 // never allocates and never materializes a lift payload.
+//
+// Scope-width views. A payload of view v is nonzero only on the features of
+// v's subtree, its scope S_v, so the view stores it in the compact layout of
+// width |S_v|: local index a is the a-th smallest feature id in S_v (on
+// Retailer, 15 doubles per Weather key instead of 91). The root's scope is
+// every feature, so its layout is the full-width one. Each node's product
+// chain runs in the node's own index space: lifted features carry local
+// indices, and each child's payload is placed into the node's layout through
+// a plan-time entry table. Every entry in scope is the same expression over
+// the same operands as at full width and the dropped entries are exact
+// zeros, so narrowing the views does not move the result.
 // ---------------------------------------------------------------------------
 
 using CovarView = CovarArenaView;
@@ -56,6 +67,61 @@ ChainScopes MakeChainScopes(int n, std::vector<int> lifted,
   return scopes;
 }
 
+// Position of each of `features` in the ascending `scope`.
+std::vector<int> LocalIndices(const std::vector<int>& scope,
+                              const std::vector<int>& features) {
+  std::vector<int> out;
+  out.reserve(features.size());
+  for (int f : features) {
+    out.push_back(static_cast<int>(
+        std::lower_bound(scope.begin(), scope.end(), f) - scope.begin()));
+  }
+  return out;
+}
+
+// Places a compact payload into a wider compact layout whose ascending
+// indices `at` hold the payload's features: entry e of the payload goes to
+// entry to[e]. `to` stays empty when the two layouts coincide, and the
+// payload is then read in place.
+struct Placement {
+  std::vector<size_t> to;
+
+  static Placement Into(int width, const std::vector<int>& at) {
+    Placement p;
+    if (static_cast<int>(at.size()) == width) return p;
+    // Count, sums, then the packed upper triangle row by row.
+    p.to.push_back(kCovarCountOffset);
+    for (int i : at) p.to.push_back(kCovarSumOffset + i);
+    for (size_t a = 0; a < at.size(); ++a) {
+      for (size_t b = a; b < at.size(); ++b) {
+        p.to.push_back(CovarQuadOffset(width) +
+                       UpperTriIndex(width, at[a], at[b]));
+      }
+    }
+    return p;
+  }
+
+  // Zero buffer of the wider layout for Apply (none when read in place).
+  std::vector<double> Buffer(int width) const {
+    return std::vector<double>(to.empty() ? 0 : CovarStride(width), 0.0);
+  }
+  static std::vector<std::vector<double>> Buffers(
+      const std::vector<Placement>& places, int width) {
+    std::vector<std::vector<double>> bufs;
+    for (const Placement& p : places) bufs.push_back(p.Buffer(width));
+    return bufs;
+  }
+
+  // The span to read: `src` itself, or `buf` after copying src into it.
+  // Each call writes the same entries, so the rest of buf stays zero.
+  const double* Apply(const double* src, std::vector<double>* buf) const {
+    if (to.empty()) return src;
+    double* dst = buf->data();
+    for (size_t e = 0; e < to.size(); ++e) dst[to[e]] = src[e];
+    return dst;
+  }
+};
+
 // Grouped scan of one node (see ComputeGroupedNodeView). A child whose join
 // key contains the node's parent key can ANCHOR the grouping: rows with the
 // same anchor key share the parent key and the payload of every OUTER child
@@ -69,15 +135,21 @@ struct GroupPlan {
   int width = 0;
   // Compact index of each of the node's lifted features (NodeFeatures order).
   std::vector<int> own;
-  // Compact span entry -> entry of the full-width span.
-  std::vector<size_t> gather;
+  std::vector<Placement> inner_place;   // inner payload -> compact sum
+  Placement head;                       // compact sum -> the node's layout
+  std::vector<Placement> outer_place;   // outer payload -> the node's layout
   ChainScopes inner_chain;              // lift * inner children, compact
-  std::vector<CovarScope> outer_chain;  // after each outer child, full width
+  std::vector<CovarScope> outer_chain;  // after each outer child
 };
 
 struct NodePlan {
-  ChainScopes rows;  // per-row product over all children
+  std::vector<int> scope;           // S_v: feature ids, ascending
+  std::vector<int> own;             // local index of each lifted feature
+  std::vector<Placement> children;  // child payload -> v's layout
+  ChainScopes rows;                 // per-row product over all children
   GroupPlan group;
+
+  int width() const { return static_cast<int>(scope.size()); }
 };
 
 std::vector<int> SortedAttrs(std::vector<int> attrs) {
@@ -92,10 +164,11 @@ bool ContainsAll(const std::vector<int>& sorted, const std::vector<int>& sub) {
 // Picks the anchor with the most outer children, derived from join
 // attributes alone. A node is grouped only when that is at least two, so a
 // group shares a product of payloads; a star over distinct single keys
-// (Yelp, TPC-DS) keeps the per-row scan.
-GroupPlan BuildGroupPlan(const RootedTree& tree, int n, int v,
-                         const std::vector<int>& own,
-                         const std::vector<std::vector<int>>& subtree) {
+// (Yelp, TPC-DS) keeps the per-row scan. `children[i]` holds the local
+// indices of child i's scope in the node's layout.
+GroupPlan BuildGroupPlan(const RootedTree& tree, int v,
+                         const NodePlan& node_plan,
+                         const std::vector<std::vector<int>>& children) {
   GroupPlan plan;
   const RootedNode& node = tree.node(v);
   const std::vector<int> parent_key = SortedAttrs(node.key_attrs);
@@ -116,71 +189,67 @@ GroupPlan BuildGroupPlan(const RootedTree& tree, int n, int v,
   }
   if (plan.anchor < 0) return plan;
 
-  std::vector<int> compact = own;
-  for (int c : node.children) {
+  // The compact set, as local indices of the node's layout.
+  std::vector<int> compact = node_plan.own;
+  std::vector<size_t> inner_pos;
+  std::vector<size_t> outer_pos;
+  for (size_t ci = 0; ci < node.children.size(); ++ci) {
+    const int c = node.children[ci];
     if (std::find(plan.outer.begin(), plan.outer.end(), c) != plan.outer.end()) {
+      outer_pos.push_back(ci);
       continue;
     }
     plan.inner.push_back(c);
-    compact.insert(compact.end(), subtree[c].begin(), subtree[c].end());
+    inner_pos.push_back(ci);
+    compact.insert(compact.end(), children[ci].begin(), children[ci].end());
   }
   std::sort(compact.begin(), compact.end());
-  compact.erase(std::unique(compact.begin(), compact.end()), compact.end());
   plan.width = static_cast<int>(compact.size());
-  auto to_compact = [&](const std::vector<int>& features) {
-    std::vector<int> out;
-    for (int f : features) {
-      out.push_back(static_cast<int>(
-          std::lower_bound(compact.begin(), compact.end(), f) -
-          compact.begin()));
-    }
-    return out;
-  };
-  plan.own = to_compact(own);
+  plan.own = LocalIndices(compact, node_plan.own);
   std::vector<std::vector<int>> inner_scopes;
-  for (int c : plan.inner) inner_scopes.push_back(to_compact(subtree[c]));
-  plan.inner_chain = MakeChainScopes(plan.width, plan.own, inner_scopes);
-
-  // Compact layout: count, sums, then the packed upper triangle row by row.
-  plan.gather.push_back(kCovarCountOffset);
-  for (int f : compact) plan.gather.push_back(kCovarSumOffset + f);
-  for (int a = 0; a < plan.width; ++a) {
-    for (int b = a; b < plan.width; ++b) {
-      plan.gather.push_back(CovarQuadOffset(n) +
-                            UpperTriIndex(n, compact[a], compact[b]));
-    }
+  for (size_t ci : inner_pos) {
+    inner_scopes.push_back(LocalIndices(compact, children[ci]));
+    plan.inner_place.push_back(
+        Placement::Into(plan.width, inner_scopes.back()));
   }
-  for (int c : plan.outer) {
-    compact.insert(compact.end(), subtree[c].begin(), subtree[c].end());
-    plan.outer_chain.push_back(CovarScope::Over(n, compact));
+  plan.inner_chain = MakeChainScopes(plan.width, plan.own, inner_scopes);
+  plan.head = Placement::Into(node_plan.width(), compact);
+  for (size_t ci : outer_pos) {
+    plan.outer_place.push_back(node_plan.children[ci]);
+    compact.insert(compact.end(), children[ci].begin(), children[ci].end());
+    plan.outer_chain.push_back(CovarScope::Over(node_plan.width(), compact));
   }
   return plan;
 }
 
 std::vector<NodePlan> BuildNodePlans(const RootedTree& tree,
                                      const FeatureMap& fm) {
-  const int n = fm.num_features();
-  std::vector<std::vector<int>> subtree(tree.num_nodes());
   std::vector<NodePlan> plans(tree.num_nodes());
   for (int v : tree.postorder()) {
     const RootedNode& node = tree.node(v);
+    NodePlan& plan = plans[v];
     std::vector<int> own;
     for (const auto& [attr, f] : fm.NodeFeatures(v)) own.push_back(f);
-    std::vector<std::vector<int>> children;
-    for (int c : node.children) children.push_back(subtree[c]);
-    plans[v].rows = MakeChainScopes(n, own, children);
-    plans[v].group = BuildGroupPlan(tree, n, v, own, subtree);
-    std::vector<int>& scope = subtree[v];
-    scope = std::move(own);
-    for (const std::vector<int>& child : children) {
-      scope.insert(scope.end(), child.begin(), child.end());
+    plan.scope = own;
+    for (int c : node.children) {
+      plan.scope.insert(plan.scope.end(), plans[c].scope.begin(),
+                        plans[c].scope.end());
     }
+    std::sort(plan.scope.begin(), plan.scope.end());
+    plan.own = LocalIndices(plan.scope, own);
+    std::vector<std::vector<int>> children;
+    for (int c : node.children) {
+      children.push_back(LocalIndices(plan.scope, plans[c].scope));
+      plan.children.push_back(Placement::Into(plan.width(), children.back()));
+    }
+    plan.rows = MakeChainScopes(plan.width(), plan.own, children);
+    plan.group = BuildGroupPlan(tree, v, plan, children);
   }
   return plans;
 }
 
 // Ring products restricted to a step's scope (contiguous dense kernels once
-// the scope covers all features).
+// the scope covers the whole layout).
 void MulInScope(const CovarScope& scope, const double* a, const double* b,
                 double* dst) {
   if (scope.IsDense()) {
@@ -245,24 +314,34 @@ std::vector<std::vector<double>> ChainScratch(size_t steps, size_t stride) {
                                           std::vector<double>(stride, 0.0));
 }
 
+// Lift values of the node's features with their local indices; the row
+// loops fill in the values.
+std::vector<std::pair<int, double>> LocalFeats(const std::vector<int>& own) {
+  std::vector<std::pair<int, double>> feats;
+  for (int i : own) feats.push_back({i, 0.0});
+  return feats;
+}
+
 // Computes the view of node v given its children's views, one row at a
 // time over [row_begin, row_end) (a partition of v's rows).
 void ComputeCovarNodeView(const RootedTree& tree, const FeatureMap& fm,
-                          const FilterSet& filters, const ChainScopes& scopes,
+                          const FilterSet& filters, const NodePlan& plan,
                           int v, const std::vector<CovarView>& views,
                           size_t row_begin, size_t row_end, CovarView* out) {
   const Relation& rel = tree.relation(v);
   const RootedNode& node = tree.node(v);
   const std::vector<Predicate>& preds = NodeFilters(filters, v);
   const auto& feats = fm.NodeFeatures(v);
-  const int n = fm.num_features();
-  out->Init(n);
+  const int width = plan.width();
+  out->Init(width);
 
   const size_t num_children = node.children.size();
-  std::vector<std::pair<int, double>> feat_vals(feats.size());
+  std::vector<std::pair<int, double>> feat_vals = LocalFeats(plan.own);
   std::vector<const double*> child_spans(num_children);
+  std::vector<std::vector<double>> placed =
+      Placement::Buffers(plan.children, width);
   std::vector<std::vector<double>> scratch =
-      ChainScratch(num_children, CovarStride(n));
+      ChainScratch(num_children, CovarStride(width));
   for (size_t row = row_begin; row < row_end; ++row) {
     if (!preds.empty() && !RowPasses(rel, row, preds)) continue;
     bool dangling = false;
@@ -273,13 +352,13 @@ void ComputeCovarNodeView(const RootedTree& tree, const FeatureMap& fm,
         dangling = true;  // row has no join partner in subtree c
         break;
       }
-      child_spans[ci] = cp;
+      child_spans[ci] = plan.children[ci].Apply(cp, &placed[ci]);
     }
     if (dangling) continue;
     for (size_t k = 0; k < feats.size(); ++k) {
-      feat_vals[k] = {feats[k].second, rel.Double(row, feats[k].first)};
+      feat_vals[k].second = rel.Double(row, feats[k].first);
     }
-    LiftProductAdd(n, scopes, feat_vals, child_spans, &scratch,
+    LiftProductAdd(width, plan.rows, feat_vals, child_spans, &scratch,
                    out->GetOrAdd(tree.RowKeyToParent(v, row)));
   }
 }
@@ -287,10 +366,7 @@ void ComputeCovarNodeView(const RootedTree& tree, const FeatureMap& fm,
 // Folds one partition's partial view into *out (partials arrive in
 // ascending partition order; each span folds with one contiguous add).
 void MergeCovarPartial(CovarView* out, CovarView* partial) {
-  const size_t stride = out->stride();
-  partial->ForEach([&](uint64_t key, const double* span) {
-    CovarSpanAdd(stride, out->GetOrAdd(key), span);
-  });
+  CovarArenaMergeInto(*partial, out);
 }
 
 // Grouped scan of node v. Every row with the same anchor key shares the
@@ -298,9 +374,9 @@ void MergeCovarPartial(CovarView* out, CovarView* partial) {
 //
 //   SUM_r lift(r) * inner(r) * outer  ==  (SUM_r lift(r) * inner(r)) * outer
 //
-// and the full-width outer products run once per group instead of once per
-// row, on a compact inner sum. No hash table beyond the views: the group id
-// of a row is the anchor view's slot id of its key.
+// and the outer products run once per group instead of once per row, on a
+// compact inner sum. No hash table beyond the views: the group id of a row
+// is the anchor view's slot id of its key.
 //  1. Map each row to its group over the row partitions (filtered rows and
 //     rows without an anchor partner get none).
 //  2. Stable counting sort of the grouped rows by group id.
@@ -312,10 +388,11 @@ void MergeCovarPartial(CovarView* out, CovarView* partial) {
 // bit-identical for every ExecPolicy{N >= 1}.
 void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
                             const FeatureMap& fm, const FilterSet& filters,
-                            const GroupPlan& plan, int v,
+                            const NodePlan& node_plan, int v,
                             const std::vector<CovarView>& views,
                             CovarView* out) {
   RELBORG_TRACE_SPAN("core/covar-group", "core", -1, v);
+  const GroupPlan& plan = node_plan.group;
   const Relation& rel = tree.relation(v);
   const std::vector<Predicate>& preds = NodeFilters(filters, v);
   const size_t rows = rel.num_rows();
@@ -352,8 +429,8 @@ void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
   for (size_t g = num_groups; g > 0; --g) start[g] = start[g - 1];
   start[0] = 0;
 
-  const int n = fm.num_features();
   const auto& feats = fm.NodeFeatures(v);
+  const int width = node_plan.width();
   const size_t compact_stride = CovarStride(plan.width);
   // First group whose first row sits at or after grouped-row `offset`.
   auto group_at = [&](size_t offset) {
@@ -362,29 +439,28 @@ void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
         start.begin());
   };
   auto scan_groups = [&](size_t begin, size_t end, CovarView* acc) {
-    acc->Init(n);
-    std::vector<std::pair<int, double>> feat_vals(feats.size());
-    std::vector<std::vector<double>> inner(
-        plan.inner.size(), std::vector<double>(compact_stride));
+    acc->Init(width);
+    std::vector<std::pair<int, double>> feat_vals = LocalFeats(plan.own);
+    std::vector<std::vector<double>> inner_bufs =
+        Placement::Buffers(plan.inner_place, plan.width);
     std::vector<const double*> inner_spans(plan.inner.size());
-    for (size_t i = 0; i < inner.size(); ++i) inner_spans[i] = inner[i].data();
     std::vector<std::vector<double>> inner_scratch =
         ChainScratch(plan.inner.size(), compact_stride);
     std::vector<double> sum(compact_stride);
-    std::vector<double> head(CovarStride(n), 0.0);
+    std::vector<double> head = plan.head.Buffer(width);
+    std::vector<std::vector<double>> outer_bufs =
+        Placement::Buffers(plan.outer_place, width);
     std::vector<const double*> outer_spans(plan.outer.size());
     std::vector<std::vector<double>> outer_scratch(
-        plan.outer.size() - 1, std::vector<double>(CovarStride(n), 0.0));
-    // Compact copies of the row's inner payloads; false when a partner is
-    // missing.
+        plan.outer.size() - 1, std::vector<double>(CovarStride(width), 0.0));
+    // The row's inner payloads in the compact layout; false when a partner
+    // is missing.
     auto gather_inner = [&](size_t row) {
       for (size_t i = 0; i < plan.inner.size(); ++i) {
         const int c = plan.inner[i];
         const double* cp = views[c].Find(tree.RowKeyToChild(v, c, row));
         if (cp == nullptr) return false;
-        for (size_t e = 0; e < compact_stride; ++e) {
-          inner[i][e] = cp[plan.gather[e]];
-        }
+        inner_spans[i] = plan.inner_place[i].Apply(cp, &inner_bufs[i]);
       }
       return true;
     };
@@ -394,11 +470,14 @@ void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
       bool dangling = false;
       for (size_t i = 0; i < plan.outer.size() && !dangling; ++i) {
         const int c = plan.outer[i];
-        outer_spans[i] =
+        const double* cp =
             c == anchor
                 ? anchor_view.arena().Slot(static_cast<uint32_t>(g))
                 : views[c].Find(tree.RowKeyToChild(v, c, first));
-        dangling = outer_spans[i] == nullptr;
+        dangling = cp == nullptr;
+        if (!dangling) {
+          outer_spans[i] = plan.outer_place[i].Apply(cp, &outer_bufs[i]);
+        }
       }
       if (dangling) continue;
 
@@ -408,7 +487,7 @@ void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
         const size_t row = order[s];
         if (!gather_inner(row)) continue;
         for (size_t k = 0; k < feats.size(); ++k) {
-          feat_vals[k] = {plan.own[k], rel.Double(row, feats[k].first)};
+          feat_vals[k].second = rel.Double(row, feats[k].first);
         }
         LiftProductAdd(plan.width, plan.inner_chain, feat_vals, inner_spans,
                        &inner_scratch, sum.data());
@@ -416,8 +495,7 @@ void ComputeGroupedNodeView(const ExecContext& ctx, const RootedTree& tree,
       }
       if (!joined) continue;
 
-      for (size_t e = 0; e < compact_stride; ++e) head[plan.gather[e]] = sum[e];
-      const double* prod = head.data();
+      const double* prod = plan.head.Apply(sum.data(), &head);
       for (size_t i = 0; i + 1 < plan.outer.size(); ++i) {
         MulInScope(plan.outer_chain[i], prod, outer_spans[i],
                    outer_scratch[i].data());
@@ -448,23 +526,26 @@ CovarMatrix ComputeSharedCovar(const RootedTree& tree, const FeatureMap& fm,
   for (const std::vector<int>& group : IndependentViewGroups(tree)) {
     ctx.ParallelFor(group.size(), [&](size_t idx) {
       const int v = group[idx];
+      const NodePlan& plan = plans[v];
       RELBORG_TRACE_SPAN("core/covar-scan", "core", -1, v);
-      views[v].Init(n);
-      if (plans[v].group.anchor >= 0) {
-        ComputeGroupedNodeView(ctx, tree, fm, filters, plans[v].group, v,
-                               views, &views[v]);
+      views[v].Init(plan.width());
+      if (plan.group.anchor >= 0) {
+        ComputeGroupedNodeView(ctx, tree, fm, filters, plan, v, views,
+                               &views[v]);
         return;
       }
       PartitionedScan<CovarView>(
           ctx, tree.relation(v).num_rows(), &views[v],
           [&](size_t begin, size_t end, CovarView* acc) {
-            ComputeCovarNodeView(tree, fm, filters, plans[v].rows, v, views,
-                                 begin, end, acc);
+            ComputeCovarNodeView(tree, fm, filters, plan, v, views, begin,
+                                 end, acc);
           },
           MergeCovarPartial);
     });
   }
 
+  // The root's scope is every feature: its layout is the full-width one.
+  RELBORG_CHECK(plans[tree.root()].width() == n);
   const double* result = views[tree.root()].Find(kUnitKey);
   return CovarMatrix(n, result == nullptr ? CovarPayload::Zero(n)
                                           : CovarPayloadFromSpan(n, result));

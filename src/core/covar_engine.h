@@ -17,6 +17,11 @@
 //                             ring computes the whole batch at once, with
 //                             payloads in arena storage (ring/covar_arena.h)
 //                             and the fused lift-multiply-accumulate kernel.
+//                             Each view stores only its subtree's moments:
+//                             view v's payloads have the width of v's
+//                             feature scope S_v (1 + |S_v| + |S_v|(|S_v|+1)/2
+//                             doubles per key), and only the root's is full
+//                             width. Narrowing moves no bit of the result.
 //                             A GROUPED node (one child's join key contains
 //                             the node's parent key and the keys of at least
 //                             one other child, e.g. Retailer's Inventory

@@ -1,5 +1,6 @@
 #include "core/decision_node_engine.h"
 
+#include <cmath>
 #include <utility>
 
 #include "obs/trace.h"
@@ -48,9 +49,12 @@ struct TripleRing {
   static const double* Find(const View& view, uint64_t key) {
     return view.Find(key);
   }
+  // A row whose response is NaN lifts to the ring zero, so it is left out
+  // of every candidate alike, the count included.
   static Triple Lift(const Relation& rel, size_t row, int response_attr) {
     if (response_attr < 0) return Triple{1, 0, 0};
     const double y = rel.Double(row, response_attr);
+    if (std::isnan(y)) return Triple{};
     return Triple{1, y, y * y};
   }
   // lift * in[0] * ... * in[deg-1] without in[skip], folded left.

@@ -73,9 +73,10 @@ struct SplitStats {
 // Computes, for each candidate, the (count, sum_y, sumsq_y) triple over the
 // join restricted by `path_filters` AND the candidate's predicate. The
 // response is identified by (response_node, response_attr) and must be
-// continuous. An enabled policy scans the relations of one view group
-// concurrently (outer level), each scan partitioned (inner level); results
-// are bit-identical for any thread count >= 1 (see core/exec_policy.h).
+// continuous; rows whose response is NaN count in no candidate. An enabled
+// policy scans the relations of one view group concurrently (outer level),
+// each scan partitioned (inner level); results are bit-identical for any
+// thread count >= 1 (see core/exec_policy.h).
 std::vector<SplitStats> ComputeSplitStats(
     const JoinQuery& query, int response_node, int response_attr,
     const FilterSet& path_filters,

@@ -143,23 +143,10 @@ void CovarPayloadToSpan(const CovarPayload& p, double* span) {
 }
 
 void CovarArenaMergeInto(const CovarArenaView& src, CovarArenaView* dst) {
-  RELBORG_DCHECK(src.num_features() == dst->num_features());
+  RELBORG_CHECK(src.num_features() == dst->num_features());
   const size_t stride = src.stride();
   src.ForEach([&](uint64_t key, const double* span) {
     CovarSpanAdd(stride, dst->BeginMergeKey(key), span);
-  });
-  dst->PublishMerge();
-}
-
-void CovarArenaMergeAt(const CovarArenaView& src, const CovarViewSnapshot& snap,
-                       CovarArenaView* dst) {
-  RELBORG_DCHECK(src.num_features() == dst->num_features());
-  const size_t stride = src.stride();
-  // The key set only ever grows, so iterating the CURRENT keys and filtering
-  // through FindAt visits exactly the keys that existed at the snapshot.
-  src.ForEach([&](uint64_t key, const double* /*current*/) {
-    const double* at = src.FindAt(key, snap);
-    if (at != nullptr) CovarSpanAdd(stride, dst->BeginMergeKey(key), at);
   });
   dst->PublishMerge();
 }

@@ -340,9 +340,9 @@ class CovarArena {
   explicit CovarArena(int n) { Init(n); }
 
   // Sets the feature width. Must be called before the first Allocate; a
-  // repeated Init with the same n is a no-op.
+  // repeated Init with the same n is a no-op, a different n aborts.
   void Init(int n) {
-    RELBORG_DCHECK(n_ < 0 || n_ == n);
+    RELBORG_CHECK(n_ < 0 || n_ == n);
     n_ = n;
     stride_ = CovarStride(n);
   }
@@ -626,16 +626,10 @@ class CovarArenaView {
 // independent, so the result is a pure function of the two views' contents —
 // never of iteration order — and merging shard-local views in ascending
 // shard order yields the same bytes on every run. Both views must have the
-// same feature width; the caller must exclude concurrent merges on BOTH
+// same feature width (checked once per call: views of different scopes have
+// different strides); the caller must exclude concurrent merges on BOTH
 // views for the duration (a merge can rehash the map / move the arena).
 void CovarArenaMergeInto(const CovarArenaView& src, CovarArenaView* dst);
-
-// As above, but reads `src` as of `snap` (FindAt): keys published after the
-// snapshot are skipped, superseded payloads read their pinned pre-merge
-// bytes. `snap` must come from src.Pin() (or a quiescent src.Snapshot())
-// and the pin must stay active across the call.
-void CovarArenaMergeAt(const CovarArenaView& src, const CovarViewSnapshot& snap,
-                       CovarArenaView* dst);
 
 }  // namespace relborg
 

@@ -518,6 +518,23 @@ TEST(CovarArenaViewTest, UnitKeyAndZeroWidthPayloads) {
   EXPECT_EQ(view.Find(kUnitKey)[0], 1.0);
 }
 
+// Views over different feature scopes have different strides, so a merge
+// between two of them would read past the end of a slot. The width check
+// aborts in every build type, once per merge call.
+TEST(CovarArenaViewDeathTest, MismatchedWidthsAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CovarArenaView narrow(2);
+  narrow.GetOrAdd(kUnitKey)[0] = 1.0;
+  CovarArenaView wide(3);
+  EXPECT_DEATH(CovarArenaMergeInto(narrow, &wide), "num_features");
+  EXPECT_DEATH(CovarArenaMergeInto(wide, &narrow), "num_features");
+  EXPECT_DEATH(wide.Init(2), "n_ == n");
+  // Equal widths merge.
+  CovarArenaView same(2);
+  CovarArenaMergeInto(narrow, &same);
+  EXPECT_EQ(same.Find(kUnitKey)[0], 1.0);
+}
+
 // --- Engine equivalence under the thread sweep (TSan-covered) -------------
 
 class CovarArenaEngineSweep

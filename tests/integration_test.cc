@@ -6,7 +6,6 @@
 #include "baseline/materializer.h"
 #include "baseline/query_at_a_time.h"
 #include "baseline/sgd_learner.h"
-#include "core/covar_compressed.h"
 #include "core/covar_engine.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
@@ -65,7 +64,6 @@ TEST_P(DatasetIntegration, SharedAndQueryAtATimeAgree) {
   FeatureMap fm(ds.query, ds.features);
   RootedTree tree = ds.RootAtFact();
   CovarMatrix shared = ComputeCovarMatrix(tree, fm);
-  CovarMatrix compressed = ComputeCovarMatrixCompressed(tree, fm);
   DataMatrix matrix = MaterializeJoin(tree, fm);
   CovarMatrix baseline = CovarByQueryAtATime(matrix);
   const int n = fm.num_features();
@@ -73,8 +71,6 @@ TEST_P(DatasetIntegration, SharedAndQueryAtATimeAgree) {
     for (int j = i; j <= n; ++j) {
       double want = baseline.Moment(i, j);
       EXPECT_NEAR(shared.Moment(i, j), want, 1e-6 * (1 + std::abs(want)));
-      EXPECT_NEAR(compressed.Moment(i, j), want,
-                  1e-6 * (1 + std::abs(want)));
     }
   }
 }

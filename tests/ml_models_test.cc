@@ -31,8 +31,10 @@ struct TreeFixture {
 };
 
 // With nan_x_every > 0, every nan_x_every-th F.x (from row 0) is NaN; the
-// response is drawn as if it were not.
-void BuildTreeDb(TreeFixture* fx, int rows = 2000, int nan_x_every = 0) {
+// response is drawn as if it were not. With nan_y_every > 0, every
+// nan_y_every-th F.y (from row 0) is NaN.
+void BuildTreeDb(TreeFixture* fx, int rows = 2000, int nan_x_every = 0,
+                 int nan_y_every = 0) {
   Schema fact({{"k", AttrType::kCategorical},
                {"x", AttrType::kDouble},
                {"y", AttrType::kDouble}});
@@ -56,6 +58,9 @@ void BuildTreeDb(TreeFixture* fx, int rows = 2000, int nan_x_every = 0) {
                rng.Gaussian(0, 0.1);
     if (nan_x_every > 0 && i % nan_x_every == 0) {
       x = std::numeric_limits<double>::quiet_NaN();
+    }
+    if (nan_y_every > 0 && i % nan_y_every == 0) {
+      y = std::numeric_limits<double>::quiet_NaN();
     }
     f->AppendRow({static_cast<double>(k), x, y});
   }
@@ -524,6 +529,50 @@ TEST(DecisionTreeTest, NanFeatureValuesTakeTheNoBranch) {
   const DataMatrix data = MaterializeJoin(
       fx.query.Root("F"),
       std::vector<ColumnRef>{{"F", "x"}, {"D", "z"}, {"D", "g"}, {"F", "y"}});
+  ExpectNodesMatchRoutedRows(tree, data, 3);
+  ExpectChosenSplitsAreBest(tree, fx.query, response, features, opts);
+}
+
+// Rows whose response is NaN are left out of every candidate of a
+// regression batch alike, so the gains stay finite and the tree splits on
+// the other rows. The oracle is the materialized join without those rows.
+TEST(DecisionTreeTest, NanResponseRowsAreLeftOut) {
+  TreeFixture fx;
+  BuildTreeDb(&fx, 2000, /*nan_x_every=*/0, /*nan_y_every=*/5);
+  std::vector<TreeFeature> features{
+      {"F", "x", false}, {"D", "z", false}, {"D", "g", true}};
+  DecisionTreeOptions opts;
+  opts.max_depth = 3;
+  const FeatureRef response{"F", "y"};
+  const int f = fx.query.IndexOf("F");
+  const int y = fx.query.relation(f)->schema().MustIndexOf("y");
+
+  std::vector<SplitCandidate> batch =
+      BuildSplitCandidates(fx.query, features, opts, nullptr);
+  batch.push_back(
+      {f, Predicate::Ge(y, -std::numeric_limits<double>::infinity())});
+  const std::vector<SplitStats> root = ComputeSplitStats(
+      fx.query, f, y, FilterSet(fx.query.num_relations()), batch);
+  const SplitStats& all = root.back();
+  EXPECT_EQ(all.count, 1600.0);
+  for (size_t i = 0; i + 1 < root.size(); ++i) {
+    const SplitStats no{all.count - root[i].count, all.sum - root[i].sum,
+                        all.sum_sq - root[i].sum_sq};
+    EXPECT_TRUE(std::isfinite(Sse(all) - Sse(root[i]) - Sse(no)))
+        << "candidate " << i;
+  }
+
+  DecisionTree tree =
+      DecisionTree::TrainRegression(fx.query, response, features, opts);
+  ASSERT_GT(tree.num_nodes(), 1);
+  EXPECT_EQ(tree.node(0).count, 1600.0);
+  FilterSet finite_y(fx.query.num_relations());
+  finite_y[f].push_back(batch.back().pred);
+  const DataMatrix data = MaterializeJoin(
+      fx.query.Root("F"),
+      std::vector<ColumnRef>{{"F", "x"}, {"D", "z"}, {"D", "g"}, {"F", "y"}},
+      finite_y);
+  ASSERT_EQ(data.num_rows(), 1600u);
   ExpectNodesMatchRoutedRows(tree, data, 3);
   ExpectChosenSplitsAreBest(tree, fx.query, response, features, opts);
 }
