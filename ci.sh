@@ -126,7 +126,9 @@ if [[ "${MODE}" == "all" || "${MODE}" == "asan" ]]; then
   # exec paths (thread pool, ExecPolicy thread sweeps) get their own
   # build; only the thread-exercising suites run, to keep the leg cheap.
   # CovarEngine covers the grouped covariance scan's row-map and
-  # group-partition phases at 4 threads.
+  # group-partition phases at 4 threads. DecisionNode covers the
+  # decision-node engine at 2 threads: concurrent scans of one view group
+  # and the merge of slot-indexed partial messages.
   echo "==== [tsan] configure"
   configure build-ci-tsan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -137,7 +139,7 @@ if [[ "${MODE}" == "all" || "${MODE}" == "asan" ]]; then
   echo "==== [tsan] build"
   cmake --build build-ci-tsan -j "${JOBS}" \
     --target covar_arena_test covar_arena_snapshot_test covar_engine_test \
-             exec_policy_test \
+             decision_node_engine_test exec_policy_test \
              obs_test robustness_test serve_snapshot_test shard_test \
              stream_checkpoint_test stream_scheduler_test \
              stream_stress_test thread_pool_test util_test
@@ -149,7 +151,7 @@ if [[ "${MODE}" == "all" || "${MODE}" == "asan" ]]; then
   # what TSan exists to check.
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-ci-tsan \
     --output-on-failure -j "${JOBS}" --no-tests=error \
-    -R 'ExecPolicy|ThreadSweep|IndependentViewGroups|ThreadPool|CovarArena|CovarEngine|StreamScheduler|StagedIngest|StreamIngress|StreamBackpressure|ObsMetrics|ObsTrace|ObsStream'
+    -R 'ExecPolicy|ThreadSweep|IndependentViewGroups|ThreadPool|CovarArena|CovarEngine|DecisionNode|StreamScheduler|StagedIngest|StreamIngress|StreamBackpressure|ObsMetrics|ObsTrace|ObsStream'
   echo "==== [tsan] test (stream stress suite)"
   # The randomized differential stress suite: watermark-overlapped commits
   # racing real maintenance under TSan, bit-identity checked per case.

@@ -13,12 +13,6 @@
 namespace relborg {
 namespace {
 
-const std::vector<Predicate>& NodeFilters(const FilterSet& filters, int v) {
-  static const std::vector<Predicate> kNone;
-  if (filters.empty()) return kNone;
-  return filters[v];
-}
-
 // ---------------------------------------------------------------------------
 // Shared execution: one pass, covariance-ring payloads in arena storage.
 // Each view keeps its payloads in one contiguous CovarArena buffer; the

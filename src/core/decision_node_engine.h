@@ -14,9 +14,9 @@
 // engine builds each needed message at most once per batch, in both
 // directions along the edges, and shares it among all roots:
 //
-//   * Up sweep. The tree is rooted at the largest relation (the pivot).
-//     Deepest view group first, each relation whose message toward the
-//     pivot is needed scans once to build it.
+//   * Up sweep. The tree is rooted at the pivot, the largest relation
+//     (DecisionNodeRooting). Deepest view group first, each relation
+//     whose message toward the pivot is needed scans once to build it.
 //   * Down sweep. Pivot first, each relation scans once for all of its
 //     needed messages away from the pivot and for its own candidates. A
 //     fact table that is the largest relation is thus scanned once per
@@ -24,6 +24,16 @@
 //
 // A scan probes every incoming message a row needs. Each output multiplies
 // all of them but at most one, so a row that misses two is skipped.
+//
+// Slot-indexed messages. A message along an edge is an array with one
+// payload per distinct join key of the edge, indexed by the slots of a
+// JoinSlots index (query/join_slots.h) built on the sweep's rooting, so a
+// scan reads and writes messages without packing or hashing a key. Path
+// filters never change the index, so a decision tree builds one for its
+// whole training and passes it to every batch (the JoinSlots overloads);
+// the overloads without one build an index for the call. A partition of a
+// partitioned scan fills a partial that holds only the slots its rows
+// touch, however many slots the edge has.
 //
 // Bit-identity with one pass per root. Message v -> p multiplies, per row
 // of v, the lift and then the incoming messages of v's other neighbors in
@@ -43,6 +53,7 @@
 
 #include "core/exec_policy.h"
 #include "core/feature_map.h"
+#include "query/join_slots.h"
 #include "query/join_tree.h"
 #include "query/predicate.h"
 #include "util/flat_hash_map.h"
@@ -88,6 +99,27 @@ std::vector<SplitStats> ComputeSplitStats(
 // as in ComputeSplitStats.
 std::vector<FlatHashMap<double>> ComputeSplitClassCounts(
     const JoinQuery& query, int response_node, int response_attr,
+    const FilterSet& path_filters,
+    const std::vector<SplitCandidate>& candidates,
+    const ExecPolicy& policy = {});
+
+// The rooting the overloads without an index sweep: the join tree rooted
+// at its largest relation (the first, on a tie), so that relation is
+// scanned once per batch.
+RootedTree DecisionNodeRooting(const JoinQuery& query);
+
+// The same two batches over an index of the query's join keys. They sweep
+// slots.tree(); any rooting gives the same bits, and DecisionNodeRooting
+// scans the least. The index must be built from the relations as they are
+// now.
+std::vector<SplitStats> ComputeSplitStats(
+    const JoinSlots& slots, int response_node, int response_attr,
+    const FilterSet& path_filters,
+    const std::vector<SplitCandidate>& candidates,
+    const ExecPolicy& policy = {});
+
+std::vector<FlatHashMap<double>> ComputeSplitClassCounts(
+    const JoinSlots& slots, int response_node, int response_attr,
     const FilterSet& path_filters,
     const std::vector<SplitCandidate>& candidates,
     const ExecPolicy& policy = {});

@@ -6,12 +6,6 @@
 namespace relborg {
 namespace {
 
-const std::vector<Predicate>& NodeFilters(const FilterSet& filters, int v) {
-  static const std::vector<Predicate> kNone;
-  if (filters.empty()) return kNone;
-  return filters[v];
-}
-
 // Scans rows [row_begin, row_end) of node v and accumulates its view
 // entries into *out (which may be a per-partition partial view).
 void ScanGroupByNode(const RootedTree& tree, const FilterSet& filters, int v,

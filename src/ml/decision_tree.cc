@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/flat_hash_map.h"
 
@@ -64,9 +65,9 @@ struct RegressionStats {
   using Stats = SplitStats;
 
   static std::vector<SplitStats> Scan(
-      const JoinQuery& query, int response_node, int response_attr,
+      const JoinSlots& slots, int response_node, int response_attr,
       const FilterSet& filters, const std::vector<SplitCandidate>& batch) {
-    return ComputeSplitStats(query, response_node, response_attr, filters,
+    return ComputeSplitStats(slots, response_node, response_attr, filters,
                              batch);
   }
   static size_t Aggregates(size_t batch_size) {
@@ -96,10 +97,10 @@ struct ClassificationStats {
   using Stats = ClassStats;
 
   static std::vector<ClassStats> Scan(
-      const JoinQuery& query, int response_node, int response_attr,
+      const JoinSlots& slots, int response_node, int response_attr,
       const FilterSet& filters, const std::vector<SplitCandidate>& batch) {
     std::vector<FlatHashMap<double>> counts = ComputeSplitClassCounts(
-        query, response_node, response_attr, filters, batch);
+        slots, response_node, response_attr, filters, batch);
     std::vector<ClassStats> stats(counts.size());
     for (size_t i = 0; i < counts.size(); ++i) {
       counts[i].ForEach([&](uint64_t, double c) { stats[i].count += c; });
@@ -149,15 +150,16 @@ struct ClassificationStats {
 //
 // A node that can split needs its full candidate statistics: the batch of
 // every candidate plus the always-true base candidate, evaluated under the
-// node's path condition. The root scans its batch. At a split, both
-// children's counts are known exactly from the parent's batch, so each
-// child's ability to split is too. If both can split, the child with the
+// node's path condition. Every batch reads the same index of the join
+// keys; path filters never change it. The root scans its batch. At a
+// split, both children's counts are known exactly from the parent's batch,
+// so each child's ability to split is too. If both can split, the child with the
 // smaller count scans its batch and the sibling's is derived candidate by
 // candidate: stats(no AND c) = stats(parent AND c) - stats(yes AND c). If
 // one can split, it scans. A child that cannot split is a leaf whose count
 // and prediction the parent's batch already holds; it scans nothing.
 template <typename Task>
-size_t GrowTree(const JoinQuery& query, int response_node, int response_attr,
+size_t GrowTree(const JoinSlots& slots, int response_node, int response_attr,
                 const std::vector<SplitCandidate>& candidates,
                 const SplitCandidate& base,
                 const std::vector<int>& candidate_feature,
@@ -172,7 +174,7 @@ size_t GrowTree(const JoinQuery& query, int response_node, int response_attr,
   auto scan = [&](const FilterSet& filters,
                   const std::vector<SplitCandidate>& scanned) {
     aggregates += Task::Aggregates(scanned.size());
-    return Task::Scan(query, response_node, response_attr, filters, scanned);
+    return Task::Scan(slots, response_node, response_attr, filters, scanned);
   };
   auto set_stats = [&](int index, const Stats& s) {
     (*nodes)[index].count = s.count;
@@ -183,7 +185,7 @@ size_t GrowTree(const JoinQuery& query, int response_node, int response_attr,
   };
 
   nodes->push_back(DecisionTree::Node{});
-  FilterSet root_filters(query.num_relations());
+  FilterSet root_filters(slots.tree().num_nodes());
   if (options.max_depth <= 0) {
     set_stats(0, scan(root_filters, {base})[0]);
     return aggregates;
@@ -371,12 +373,17 @@ DecisionTree DecisionTree::Train(const JoinQuery& query,
                   ? Predicate::Ne(response_attr, -1)
                   : Predicate::Ge(response_attr,
                                   -std::numeric_limits<double>::infinity());
+  // One index of the join keys serves every batch of this training.
+  const JoinSlots slots = [&] {
+    RELBORG_TRACE_SPAN("query/join-slots", "query", -1, -1);
+    return JoinSlots(DecisionNodeRooting(query));
+  }();
   tree.aggregates_evaluated_ =
       classification
-          ? GrowTree<ClassificationStats>(query, response_node, response_attr,
+          ? GrowTree<ClassificationStats>(slots, response_node, response_attr,
                                           candidates, base, candidate_feature,
                                           options, &tree.nodes_)
-          : GrowTree<RegressionStats>(query, response_node, response_attr,
+          : GrowTree<RegressionStats>(slots, response_node, response_attr,
                                       candidates, base, candidate_feature,
                                       options, &tree.nodes_);
   return tree;

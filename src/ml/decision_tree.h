@@ -9,7 +9,9 @@
 // so a split scans only the smaller child's batch and derives the
 // sibling's as parent minus scanned, candidate by candidate (the
 // histogram-subtraction trick of gradient-boosted trees). A leaf takes its
-// count and prediction from its parent's batch and scans nothing.
+// count and prediction from its parent's batch and scans nothing. Every
+// batch of one training reads one JoinSlots index of the join keys, built
+// when training starts.
 #ifndef RELBORG_ML_DECISION_TREE_H_
 #define RELBORG_ML_DECISION_TREE_H_
 

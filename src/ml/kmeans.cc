@@ -6,6 +6,7 @@
 
 #include "core/multiplicity.h"
 #include "obs/trace.h"
+#include "query/join_slots.h"
 #include "util/check.h"
 #include "util/flat_hash_map.h"
 #include "util/rng.h"
@@ -296,36 +297,43 @@ void MergeInto(const std::vector<KeyCount>& src, AssignPayload* dst) {
 }
 
 // One bottom-up pass whose lift encodes each row's local centroid id in its
-// relation's byte slot. Returns the root's counts, added row by row in row
-// order and payload order, so the coreset's point order (the map's slot
-// order) only depends on the sequence of keys the root rows produce.
+// relation's byte of the coreset key; rows failing `filters` join nothing.
+// Each view is one payload per slot of its node's parent edge. Returns the
+// root's counts, added row by row in row order and payload order, so the
+// coreset's point order (the map's slot order) only depends on the
+// sequence of keys the root rows produce.
 FlatHashMap<double> CountCoreset(
-    const RootedTree& tree, const std::vector<int>& slot_of_node,
+    const JoinSlots& slots, const FilterSet& filters,
+    const std::vector<int>& byte_of_node,
     const std::vector<std::vector<int>>& local_assign) {
-  std::vector<FlatHashMap<AssignPayload>> views(tree.num_nodes());
+  const RootedTree& tree = slots.tree();
+  std::vector<std::vector<AssignPayload>> views(tree.num_nodes());
   FlatHashMap<double> root_counts;
   std::vector<KeyCount> cur, nxt;
   for (int v : tree.postorder()) {
     const Relation& rel = tree.relation(v);
     const RootedNode& node = tree.node(v);
+    const std::vector<Predicate>& preds = NodeFilters(filters, v);
     const bool is_root = v == tree.root();
+    views[v].resize(slots.num_slots(v));
     for (size_t row = 0; row < rel.num_rows(); ++row) {
+      if (!preds.empty() && !RowPasses(rel, row, preds)) continue;
       uint64_t key = 0;
-      if (slot_of_node[v] >= 0) {
+      if (byte_of_node[v] >= 0) {
         key = static_cast<uint64_t>(local_assign[v][row] + 1)
-              << (8 * slot_of_node[v]);
+              << (8 * byte_of_node[v]);
       }
       cur.assign(1, KeyCount{key, 1.0});
       bool dangling = false;
       for (int c : node.children) {
-        const AssignPayload* cp = views[c].Find(tree.RowKeyToChild(v, c, row));
-        if (cp == nullptr || cp->empty()) {
+        const uint32_t slot = slots.ChildSlots(c)[row];
+        if (slot == kNoSlot || views[c][slot].empty()) {
           dangling = true;
           break;
         }
         nxt.clear();
         for (const KeyCount& a : cur) {
-          for (const KeyCount& b : *cp) {
+          for (const KeyCount& b : views[c][slot]) {
             nxt.push_back({a.key | b.key, a.count * b.count});
           }
         }
@@ -335,11 +343,33 @@ FlatHashMap<double> CountCoreset(
       if (is_root) {
         for (const KeyCount& e : cur) root_counts[e.key] += e.count;
       } else {
-        MergeInto(cur, &views[v][tree.RowKeyToParent(v, row)]);
+        MergeInto(cur, &views[v][slots.ParentSlots(v)[row]]);
       }
     }
   }
   return root_counts;
+}
+
+// Rows with a NaN feature are left out of Rk-means the way filtered rows
+// are: x >= -inf fails exactly when x is NaN. Returns no filters at all
+// when every feature value is a number.
+FilterSet NanFreeFilters(const RootedTree& tree, const FeatureMap& fm,
+                         const std::vector<int>& nodes_with_features) {
+  FilterSet filters;
+  for (int v : nodes_with_features) {
+    const Relation& rel = tree.relation(v);
+    for (const auto& [attr, f] : fm.NodeFeatures(v)) {
+      bool has_nan = false;
+      for (size_t row = 0; row < rel.num_rows() && !has_nan; ++row) {
+        has_nan = std::isnan(rel.Double(row, attr));
+      }
+      if (!has_nan) continue;
+      filters.resize(tree.num_nodes());
+      filters[v].push_back(
+          Predicate::Ge(attr, -std::numeric_limits<double>::infinity()));
+    }
+  }
+  return filters;
 }
 
 }  // namespace
@@ -349,12 +379,12 @@ KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
   CheckOptions(options);
   const int num_nodes = tree.num_nodes();
   const int dims = fm.num_features();
-  // Feature-bearing nodes get byte slots in the coreset key.
-  std::vector<int> slot_of_node(num_nodes, -1);
+  // Feature-bearing nodes get bytes in the coreset key.
+  std::vector<int> byte_of_node(num_nodes, -1);
   std::vector<int> nodes_with_features;
   for (int v = 0; v < num_nodes; ++v) {
     if (!fm.NodeFeatures(v).empty()) {
-      slot_of_node[v] = static_cast<int>(nodes_with_features.size());
+      byte_of_node[v] = static_cast<int>(nodes_with_features.size());
       nodes_with_features.push_back(v);
     }
   }
@@ -362,38 +392,63 @@ KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
                     "coreset keys support at most 8 feature relations");
   RELBORG_CHECK(options.per_relation_k >= 1 && options.per_relation_k <= 200);
 
+  const FilterSet filters = NanFreeFilters(tree, fm, nodes_with_features);
+
+  // Both passes over the join read one index of its keys.
+  const JoinSlots slots = [&] {
+    RELBORG_TRACE_SPAN("query/join-slots", "query", -1, -1);
+    return JoinSlots(tree);
+  }();
+
   // Join multiplicities weight the per-relation clustering problems.
   std::vector<std::vector<double>> mult;
   {
     RELBORG_TRACE_SPAN("ml/kmeans-mult", "ml", -1, -1);
-    mult = ComputeRowMultiplicities(tree);
+    mult = ComputeRowMultiplicities(slots, filters);
   }
 
-  // Per-relation weighted k-means; record each row's centroid id.
+  // Per-relation weighted k-means over the rows the filters keep; record
+  // each row's centroid id (-1 for a row left out).
   std::vector<std::vector<std::vector<double>>> local_centroids(num_nodes);
   std::vector<std::vector<int>> local_assign(num_nodes);
   for (int v : nodes_with_features) {
     RELBORG_TRACE_SPAN("ml/kmeans-local", "ml", -1, v);
     const Relation& rel = tree.relation(v);
     const auto& feats = fm.NodeFeatures(v);
+    const std::vector<Predicate>& preds = NodeFilters(filters, v);
+    auto keep = [&](size_t row) {
+      return preds.empty() || RowPasses(rel, row, preds);
+    };
     WeightedPoints pts;
     pts.dims = static_cast<int>(feats.size());
     pts.coords.reserve(rel.num_rows() * feats.size());
+    if (preds.empty()) pts.weights = std::move(mult[v]);
     for (size_t row = 0; row < rel.num_rows(); ++row) {
+      if (!keep(row)) continue;
       for (const auto& [attr, f] : feats) {
         pts.coords.push_back(rel.Double(row, attr));
       }
+      if (!preds.empty()) pts.weights.push_back(mult[v][row]);
     }
-    pts.weights = std::move(mult[v]);
     KMeansOptions local = options;
     local.k = options.per_relation_k;
-    local_centroids[v] = RunLloyd(pts, local, &local_assign[v]).centroids;
+    std::vector<int>& assign = local_assign[v];
+    local_centroids[v] = RunLloyd(pts, local, &assign).centroids;
+    if (pts.num_points() < rel.num_rows()) {
+      // Spread the points' assignments back over the rows.
+      const std::vector<int> by_point = std::move(assign);
+      assign.assign(rel.num_rows(), -1);
+      size_t i = 0;
+      for (size_t row = 0; row < rel.num_rows(); ++row) {
+        if (keep(row)) assign[row] = by_point[i++];
+      }
+    }
   }
 
   FlatHashMap<double> counts;
   {
     RELBORG_TRACE_SPAN("ml/kmeans-count", "ml", -1, -1);
-    counts = CountCoreset(tree, slot_of_node, local_assign);
+    counts = CountCoreset(slots, filters, byte_of_node, local_assign);
   }
 
   // Decode the coreset: one weighted point per packed assignment key.
@@ -406,7 +461,7 @@ KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
     const size_t base = coreset.coords.size();
     coreset.coords.resize(base + dims, 0.0);
     for (int v : nodes_with_features) {
-      int byte = static_cast<int>((key >> (8 * slot_of_node[v])) & 0xFF);
+      int byte = static_cast<int>((key >> (8 * byte_of_node[v])) & 0xFF);
       RELBORG_CHECK(byte > 0);  // every tuple passes every relation
       const std::vector<double>& c = local_centroids[v][byte - 1];
       const auto& feats = fm.NodeFeatures(v);

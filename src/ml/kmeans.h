@@ -11,6 +11,11 @@
 //    (each relation's centroid assignment rides in one byte of the packed
 //    coreset key). Objective is a constant-factor approximation of k-means
 //    over the full join at a tiny fraction of the cost.
+//
+// RelationalKMeans resolves the join keys once per call: it builds one
+// JoinSlots index (query/join_slots.h) of the tree, and the multiplicity
+// pass and the counting pass both run over slot-indexed arrays through
+// it. The index lives for the call only, since relations are mutable.
 #ifndef RELBORG_ML_KMEANS_H_
 #define RELBORG_ML_KMEANS_H_
 
@@ -63,7 +68,9 @@ KMeansResult LloydKMeans(const WeightedPoints& points,
 KMeansResult LloydKMeans(const DataMatrix& data, const KMeansOptions& options);
 
 // Rk-means over the join: features (continuous attributes across the
-// relations of `tree`) define the dimensions, in FeatureMap order.
+// relations of `tree`) define the dimensions, in FeatureMap order. A row
+// with a NaN feature is left out as a filtered row is: it has no point in
+// its relation's problem and joins nothing in the counting pass.
 KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
                               const KMeansOptions& options);
 

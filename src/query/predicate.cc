@@ -32,6 +32,12 @@ bool Predicate::Matches(const Relation& rel, size_t row) const {
   return false;
 }
 
+const std::vector<Predicate>& NodeFilters(const FilterSet& filters, int v) {
+  static const std::vector<Predicate> kNone;
+  if (filters.empty()) return kNone;
+  return filters[v];
+}
+
 bool RowPasses(const Relation& rel, size_t row,
                const std::vector<Predicate>& preds) {
   for (const Predicate& p : preds) {

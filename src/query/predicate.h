@@ -51,6 +51,10 @@ struct Predicate {
 // relation at node v of the join tree.
 using FilterSet = std::vector<std::vector<Predicate>>;
 
+// The predicates on node v; none when `filters` is empty (no filters at
+// all).
+const std::vector<Predicate>& NodeFilters(const FilterSet& filters, int v);
+
 // True iff every predicate in `preds` holds for the row.
 bool RowPasses(const Relation& rel, size_t row,
                const std::vector<Predicate>& preds);

@@ -252,6 +252,92 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Topology::kStar, Topology::kChain,
                                          Topology::kBushy)));
 
+// --- One index shared across batches --------------------------------------
+//
+// A decision tree builds one JoinSlots per training and runs every batch,
+// whatever its path filters, over it. Each batch must equal the batch run
+// through the overloads that build a fresh index, bit for bit, and so must
+// a batch over an index of any other rooting.
+
+// A copy of `rel` whose attribute `attr` is NaN in every `every`-th row,
+// from row 0.
+Relation WithNanEvery(const Relation& rel, int attr, int every) {
+  Relation out(rel.name(), rel.schema());
+  std::vector<double> row(rel.num_attrs());
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    for (int a = 0; a < rel.num_attrs(); ++a) {
+      row[a] = rel.column(a).AsDouble(r);
+    }
+    if (r % every == 0) row[attr] = std::numeric_limits<double>::quiet_NaN();
+    out.AppendRow(row);
+  }
+  return out;
+}
+
+TEST_P(DecisionNodeDifferential, SharedIndexMatchesFreshIndex) {
+  auto [seed, topology] = GetParam();
+  RandomDb db = MakeRandomDb(seed, topology);
+  const auto [response_node, response_attr] =
+      FeatureAt(db, db.features.size() - 1);
+  // The response relation with a NaN response in every fourth row.
+  const Relation nan_response = WithNanEvery(
+      *db.query.relation(response_node), response_attr, 4);
+  const JoinQuery query =
+      testing::ReplaceRelation(db.query, response_node, &nan_response);
+
+  std::vector<SplitCandidate> batch;
+  for (size_t f = 0; f < db.features.size(); ++f) {
+    const auto [node, attr] = FeatureAt(db, f);
+    batch.push_back({node, Predicate::Ge(attr, -0.5)});
+    batch.push_back({node, Predicate::Ne(0, 2)});
+  }
+  batch.push_back({response_node,
+                   Predicate::Ge(response_attr,
+                                 -std::numeric_limits<double>::infinity())});
+
+  ExecPolicy partitioned;
+  partitioned.threads = 2;
+  partitioned.partition_grain = 16;
+  std::vector<JoinSlots> indexes;
+  indexes.emplace_back(DecisionNodeRooting(query));
+  for (int root = 0; root < query.num_relations(); ++root) {
+    indexes.emplace_back(query.Root(root));
+  }
+  for (const ExecPolicy& policy : {ExecPolicy{}, partitioned}) {
+    for (PathCase which : {PathCase::kNone, PathCase::kTwoRelations,
+                           PathCase::kEmptyRelation}) {
+      const FilterSet path = MakePath(db, which);
+      const std::vector<SplitStats> want = ComputeSplitStats(
+          query, response_node, response_attr, path, batch, policy);
+      const std::vector<FlatHashMap<double>> want_counts =
+          ComputeSplitClassCounts(query, 0, 0, path, batch, policy);
+      if (which == PathCase::kNone) {
+        // Non-vacuous: rows join, and the NaN rows are left out.
+        EXPECT_GT(want.back().count, 0);
+        EXPECT_TRUE(std::isfinite(want.back().sum));
+      }
+      for (size_t x = 0; x < indexes.size(); ++x) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads " << policy.threads << " path case "
+                     << static_cast<int>(which) << " index rooted at "
+                     << indexes[x].tree().root());
+        const std::vector<SplitStats> got = ComputeSplitStats(
+            indexes[x], response_node, response_attr, path, batch, policy);
+        const std::vector<FlatHashMap<double>> got_counts =
+            ComputeSplitClassCounts(indexes[x], 0, 0, path, batch, policy);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_EQ(Bits(got[i].count), Bits(want[i].count)) << i;
+          EXPECT_EQ(Bits(got[i].sum), Bits(want[i].sum)) << i;
+          EXPECT_EQ(Bits(got[i].sum_sq), Bits(want[i].sum_sq)) << i;
+          EXPECT_EQ(SortedBits(got_counts[i]), SortedBits(want_counts[i]))
+              << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(DecisionNodeBatchSizeTest, ThreePerCandidate) {
   EXPECT_EQ(DecisionNodeBatchSize(10), 30u);
 }

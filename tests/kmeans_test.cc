@@ -4,12 +4,15 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "baseline/materializer.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "ml/kmeans.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace relborg {
 namespace {
@@ -441,6 +444,79 @@ TEST(RelationalKMeansGolden, RetailerBitIdentical) {
     want.objective = g.objective;
     want.centroids = g.centroids;
     ExpectSameBits(want, r);
+  }
+}
+
+// F(k, x) with 200 rows joins D(k, y) with 20. A NaN lands in the rows
+// listed in nan_f (F.x) and nan_d (D.y); with `drop` those rows are not
+// added at all.
+struct NanDb {
+  Catalog catalog;
+  JoinQuery query;
+  std::vector<FeatureRef> features{{"F", "x"}, {"D", "y"}};
+};
+
+void BuildNanDb(NanDb* db, const std::vector<int>& nan_f,
+                const std::vector<int>& nan_d, bool drop) {
+  Relation* f = db->catalog.AddRelation(
+      "F", Schema({{"k", AttrType::kCategorical}, {"x", AttrType::kDouble}}));
+  Relation* d = db->catalog.AddRelation(
+      "D", Schema({{"k", AttrType::kCategorical}, {"y", AttrType::kDouble}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto listed = [](const std::vector<int>& rows, int i) {
+    return std::find(rows.begin(), rows.end(), i) != rows.end();
+  };
+  Rng rng(29);
+  for (int i = 0; i < 20; ++i) {
+    const double y = rng.Uniform(-3, 3);
+    if (listed(nan_d, i)) {
+      if (!drop) d->AppendRow({static_cast<double>(i), nan});
+      continue;
+    }
+    d->AppendRow({static_cast<double>(i), y});
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double k = static_cast<double>(rng.Below(20));
+    const double x = rng.Uniform(-5, 5);
+    if (listed(nan_f, i)) {
+      if (!drop) f->AppendRow({k, nan});
+      continue;
+    }
+    f->AppendRow({k, x});
+  }
+  db->query.AddRelation(f);
+  db->query.AddRelation(d);
+  db->query.AddJoin("F", "D", {"k"});
+}
+
+// A row with a NaN feature is left out of Rk-means as a filtered row is:
+// out of its relation's points and out of the counting pass. The result
+// is bit-identical to Rk-means over the relations without those rows.
+TEST(RelationalKMeansTest, NanFeatureRowsAreLeftOut) {
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> cases = {
+      {{}, {3}}, {{0, 17, 199}, {}}, {{5}, {0, 19}}};
+  for (const auto& [nan_f, nan_d] : cases) {
+    NanDb with_nan;
+    BuildNanDb(&with_nan, nan_f, nan_d, /*drop=*/false);
+    NanDb without;
+    BuildNanDb(&without, nan_f, nan_d, /*drop=*/true);
+    for (int root = 0; root < 2; ++root) {
+      SCOPED_TRACE(::testing::Message()
+                   << "nan_f " << nan_f.size() << " nan_d " << nan_d.size()
+                   << " root " << root);
+      const FeatureMap fm(with_nan.query, with_nan.features);
+      const KMeansResult got =
+          RelationalKMeans(with_nan.query.Root(root), fm, {});
+      EXPECT_TRUE(std::isfinite(got.objective));
+      for (const std::vector<double>& c : got.centroids) {
+        for (double x : c) EXPECT_TRUE(std::isfinite(x));
+      }
+      const FeatureMap fm_without(without.query, without.features);
+      const KMeansResult want =
+          RelationalKMeans(without.query.Root(root), fm_without, {});
+      EXPECT_EQ(got.coreset_size, want.coreset_size);
+      ExpectSameBits(want, got);
+    }
   }
 }
 

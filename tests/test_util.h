@@ -77,6 +77,26 @@ inline JoinQuery MakeDinnerQuery(const Catalog& catalog) {
   return q;
 }
 
+// A copy of `query` whose relation at node `v` is `rel`. `rel` must carry
+// the replaced relation's name and join-key attributes; the caller keeps it
+// alive.
+inline JoinQuery ReplaceRelation(const JoinQuery& query, int v,
+                                 const Relation* rel) {
+  JoinQuery out;
+  for (int u = 0; u < query.num_relations(); ++u) {
+    out.AddRelation(u == v ? rel : query.relation(u));
+  }
+  for (const JoinEdge& e : query.edges()) {
+    std::vector<std::string> attrs;
+    for (int a : e.attrs_a) {
+      attrs.push_back(query.relation(e.a)->schema().attr(a).name);
+    }
+    out.AddJoin(query.relation(e.a)->name(), query.relation(e.b)->name(),
+                attrs);
+  }
+  return out;
+}
+
 // Canonical seed lists for randomized property suites (see the seed policy
 // above). Suites take their seeds from one of these tiers instead of
 // inventing ad-hoc sets, so the full inventory of random streams exercised
