@@ -4,7 +4,8 @@
 #
 #   ./ci.sh            # Release (warnings-as-errors) + ASan/UBSan (+ TSan)
 #   ./ci.sh release    # just the Release leg (+ fault-seed sweep over the
-#                      # crash-recovery differential suite and the
+#                      # crash-recovery differential suite, the k-means
+#                      # bit-identity suites in a native build and the
 #                      # end-to-end benchmark smoke)
 #   ./ci.sh asan       # the sanitizer leg: ASan/UBSan suite + fault-seed
 #                      # sweep + a TSan sibling config running the
@@ -107,6 +108,22 @@ if [[ "${MODE}" == "all" || "${MODE}" == "release" ]]; then
     -DRELBORG_WERROR=ON \
     -DRELBORG_NATIVE=OFF
   fault_sweep release build-ci-release
+  # The native build: with -march=native GCC contracts a*b+c into fused
+  # multiply-adds wherever the host has FMA, so the k-means kernels' bit
+  # identity with their scalar reference, and the Rk-means hex goldens'
+  # native table, are only checked in a native Release build.
+  echo "==== [release-native] configure"
+  configure build-ci-native \
+    -DCMAKE_BUILD_TYPE=Release \
+    -DRELBORG_WERROR=ON \
+    -DRELBORG_NATIVE=ON \
+    -DRELBORG_BUILD_BENCH=OFF \
+    -DRELBORG_BUILD_EXAMPLES=OFF
+  echo "==== [release-native] build"
+  cmake --build build-ci-native -j "${JOBS}" --target kmeans_test
+  echo "==== [release-native] test (k-means bit identity)"
+  ctest --test-dir build-ci-native --output-on-failure -j "${JOBS}" \
+    --no-tests=error -R 'LloydKernel|RelationalKMeans'
   echo "==== [release] end-to-end benchmark smoke"
   # Every workload at tiny scale, traced and untraced, with the benchmark's
   # own verification: the learn tree bit-identical between repetitions,

@@ -20,6 +20,18 @@ double Weight(const WeightedPoints& pts, size_t i) {
   return pts.weights.empty() ? 1.0 : pts.weights[i];
 }
 
+// x * y rounded on its own, never fused into the add that uses it. GCC
+// fuses a product whose only use is an add wherever the target has FMA,
+// even under -std=c++17; an FMA whose addend is -0.0, the additive
+// identity, rounds the product alone and still vectorises.
+double RoundedProduct(double x, double y) {
+#if defined(__FP_FAST_FMA)
+  return std::fma(x, y, -0.0);
+#else
+  return x * y;
+#endif
+}
+
 void CheckOptions(const KMeansOptions& options) {
   RELBORG_CHECK(options.k >= 1 && options.max_iters >= 0);
 }
@@ -40,9 +52,16 @@ struct Kernel {
     return pts.coords.data() + i * Dims();
   }
 
+  // Squared differences summed in dims order. Where the target has FMA,
+  // GCC fuses each square into its add, except where it vectorises the
+  // generic loop: a full vector of squares is rounded before the in-order
+  // adds. Four dims fill one such vector, so Kernel<4> rounds its squares.
   double Dist2(const double* a, const double* b) const {
     double d = 0;
-    for (int i = 0; i < Dims(); ++i) d += Sq(a[i] - b[i]);
+    for (int i = 0; i < Dims(); ++i) {
+      const double t = a[i] - b[i];
+      d += D == 4 ? RoundedProduct(t, t) : Sq(t);
+    }
     return d;
   }
 
@@ -92,11 +111,14 @@ struct Kernel {
   }
 };
 
-// Runs fn(kernel) with the kernel specialised for `dims`. Only counts below
-// the vector width are specialised: where the target has FMA, GCC contracts
-// `d += Sq(t)` into a fused multiply-add even under -std=c++17, and the
-// generic loop over 4 or more dims vectorises with unfused squares, so
-// unrolling those counts would move the last bits of a distance.
+// Runs fn(kernel) with the kernel specialised for `dims`. A count is
+// specialised only where the unrolled kernel gives the generic loop's
+// bits: 1 to 3 dims, where both fuse every square into its add, and 4,
+// where both round every square (see Dist2). Above 4 the generic loop
+// rounds some squares and fuses others, by vector width; unrolled 5, 6
+// and 12 moved bits with GCC 12 and AVX-512. tests/kmeans_test.cc checks
+// every count from 1 to 12 against a scalar reference, so a
+// specialisation that moves a bit fails there.
 template <typename Fn>
 auto WithKernel(int dims, Fn&& fn) {
   switch (dims) {
@@ -106,20 +128,29 @@ auto WithKernel(int dims, Fn&& fn) {
       return fn(Kernel<2>{2});
     case 3:
       return fn(Kernel<3>{3});
+    case 4:
+      return fn(Kernel<4>{4});
     default:
       return fn(Kernel<0>{dims});
   }
 }
 
-// Weighted k-means++ seeding; returns k flat centroids.
+// Weighted k-means++ seeding; returns k flat centroids. dmin[i] is point
+// i's squared distance to its nearest centroid so far: each round measures
+// only the distance to the newest centroid, and the strict < keeps the
+// value a scan over all centroids in index order finds. The draw and the
+// pick scan add the weighted distances rounded, as stored ones would be.
 template <int D>
 std::vector<double> Seed(const Kernel<D>& kern, const WeightedPoints& pts,
                          int k, Rng* rng) {
   const size_t n = pts.num_points();
   const int dims = kern.Dims();
   std::vector<double> centroids(static_cast<size_t>(k) * dims);
+  auto centroid = [&](int c) {
+    return centroids.data() + static_cast<size_t>(c) * dims;
+  };
   auto place = [&](int c, const double* p) {
-    std::copy(p, p + dims, centroids.begin() + static_cast<size_t>(c) * dims);
+    std::copy(p, p + dims, centroid(c));
   };
   // First centroid: weight-proportional.
   double total = 0;
@@ -134,23 +165,24 @@ std::vector<double> Seed(const Kernel<D>& kern, const WeightedPoints& pts,
     }
   }
   place(0, kern.Point(pts, first));
-  std::vector<double> d2(n);
+  if (k == 1) return centroids;
+  std::vector<double> dmin(n, std::numeric_limits<double>::infinity());
   for (int have = 1; have < k; ++have) {
     double sum = 0;
-    kern.ForEachNearest(pts, centroids.data(), have,
+    kern.ForEachNearest(pts, centroid(have - 1), 1,
                         [&](size_t i, int, double d) {
-                          d2[i] = d * Weight(pts, i);
-                          sum += d2[i];
+                          dmin[i] = d < dmin[i] ? d : dmin[i];
+                          sum += RoundedProduct(dmin[i], Weight(pts, i));
                         });
     if (sum <= 0) {
       // All mass on the centroids already; duplicate the last one.
-      place(have, centroids.data() + static_cast<size_t>(have - 1) * dims);
+      place(have, centroid(have - 1));
       continue;
     }
     double t = rng->Uniform() * sum;
     size_t pick = n - 1;
     for (size_t i = 0; i < n; ++i) {
-      t -= d2[i];
+      t -= RoundedProduct(dmin[i], Weight(pts, i));
       if (t <= 0) {
         pick = i;
         break;
@@ -235,6 +267,28 @@ KMeansResult RunLloyd(const WeightedPoints& pts, const KMeansOptions& options,
   });
 }
 
+// The points of `pts` without a NaN coordinate: `pts` itself when it has
+// none, else a copy of the others (with their weights) in `kept`.
+const WeightedPoints& NanFreePoints(const WeightedPoints& pts,
+                                    WeightedPoints* kept) {
+  const size_t n = pts.num_points();
+  auto has_nan = [&](size_t i) {
+    const double* p = pts.Point(i);
+    return std::any_of(p, p + pts.dims, [](double x) { return std::isnan(x); });
+  };
+  size_t i = 0;
+  while (i < n && !has_nan(i)) ++i;
+  if (i == n) return pts;
+  kept->dims = pts.dims;
+  for (i = 0; i < n; ++i) {
+    if (has_nan(i)) continue;
+    kept->coords.insert(kept->coords.end(), pts.Point(i),
+                        pts.Point(i) + pts.dims);
+    if (!pts.weights.empty()) kept->weights.push_back(pts.weights[i]);
+  }
+  return *kept;
+}
+
 }  // namespace
 
 double KMeansObjective(const WeightedPoints& points,
@@ -245,15 +299,18 @@ double KMeansObjective(const WeightedPoints& points,
     RELBORG_CHECK(static_cast<int>(c.size()) >= points.dims);
     flat.insert(flat.end(), c.begin(), c.begin() + points.dims);
   }
-  return WithKernel(points.dims, [&](const auto& kern) {
-    return kern.Objective(points, flat.data(),
+  WeightedPoints kept;
+  const WeightedPoints& pts = NanFreePoints(points, &kept);
+  return WithKernel(pts.dims, [&](const auto& kern) {
+    return kern.Objective(pts, flat.data(),
                           static_cast<int>(centroids.size()), nullptr);
   });
 }
 
 KMeansResult LloydKMeans(const WeightedPoints& pts,
                          const KMeansOptions& options) {
-  return RunLloyd(pts, options, nullptr);
+  WeightedPoints kept;
+  return RunLloyd(NanFreePoints(pts, &kept), options, nullptr);
 }
 
 KMeansResult LloydKMeans(const DataMatrix& data, const KMeansOptions& options) {
@@ -283,16 +340,14 @@ struct KeyCount {
 // parent edge's key (dimensions by their primary keys) it holds one entry.
 using AssignPayload = std::vector<KeyCount>;
 
-void MergeInto(const std::vector<KeyCount>& src, AssignPayload* dst) {
-  for (const KeyCount& e : src) {
-    auto it = std::lower_bound(
-        dst->begin(), dst->end(), e.key,
-        [](const KeyCount& a, uint64_t key) { return a.key < key; });
-    if (it != dst->end() && it->key == e.key) {
-      it->count += e.count;
-    } else {
-      dst->insert(it, e);
-    }
+void MergeInto(const KeyCount& e, AssignPayload* dst) {
+  auto it = std::lower_bound(
+      dst->begin(), dst->end(), e.key,
+      [](const KeyCount& a, uint64_t key) { return a.key < key; });
+  if (it != dst->end() && it->key == e.key) {
+    it->count += e.count;
+  } else {
+    dst->insert(it, e);
   }
 }
 
@@ -302,6 +357,11 @@ void MergeInto(const std::vector<KeyCount>& src, AssignPayload* dst) {
 // root's counts, added row by row in row order and payload order, so the
 // coreset's point order (the map's slot order) only depends on the
 // sequence of keys the root rows produce.
+//
+// While every child payload a row meets holds one key, the row's product
+// is one entry: the keys OR into it and the counts multiply into it in
+// child order, the order the general product uses. The first multi-key
+// payload turns that entry into the general product's first operand.
 FlatHashMap<double> CountCoreset(
     const JoinSlots& slots, const FilterSet& filters,
     const std::vector<int>& byte_of_node,
@@ -318,12 +378,12 @@ FlatHashMap<double> CountCoreset(
     views[v].resize(slots.num_slots(v));
     for (size_t row = 0; row < rel.num_rows(); ++row) {
       if (!preds.empty() && !RowPasses(rel, row, preds)) continue;
-      uint64_t key = 0;
+      KeyCount one{0, 1.0};
       if (byte_of_node[v] >= 0) {
-        key = static_cast<uint64_t>(local_assign[v][row] + 1)
-              << (8 * byte_of_node[v]);
+        one.key = static_cast<uint64_t>(local_assign[v][row] + 1)
+                  << (8 * byte_of_node[v]);
       }
-      cur.assign(1, KeyCount{key, 1.0});
+      bool single = true;
       bool dangling = false;
       for (int c : node.children) {
         const uint32_t slot = slots.ChildSlots(c)[row];
@@ -331,19 +391,36 @@ FlatHashMap<double> CountCoreset(
           dangling = true;
           break;
         }
+        const AssignPayload& payload = views[c][slot];
+        if (single && payload.size() == 1) {
+          one.key |= payload[0].key;
+          one.count *= payload[0].count;
+          continue;
+        }
+        if (single) {
+          cur.assign(1, one);
+          single = false;
+        }
         nxt.clear();
         for (const KeyCount& a : cur) {
-          for (const KeyCount& b : views[c][slot]) {
+          for (const KeyCount& b : payload) {
             nxt.push_back({a.key | b.key, a.count * b.count});
           }
         }
         cur.swap(nxt);
       }
       if (dangling) continue;
-      if (is_root) {
-        for (const KeyCount& e : cur) root_counts[e.key] += e.count;
+      auto add = [&](const KeyCount& e) {
+        if (is_root) {
+          root_counts[e.key] += e.count;
+        } else {
+          MergeInto(e, &views[v][slots.ParentSlots(v)[row]]);
+        }
+      };
+      if (single) {
+        add(one);
       } else {
-        MergeInto(cur, &views[v][slots.ParentSlots(v)[row]]);
+        for (const KeyCount& e : cur) add(e);
       }
     }
   }

@@ -16,6 +16,13 @@
 // JoinSlots index (query/join_slots.h) of the tree, and the multiplicity
 // pass and the counting pass both run over slot-indexed arrays through
 // it. The index lives for the call only, since relations are mutable.
+// The counting pass folds a row whose child payloads each hold one key
+// straight into one (key, count) entry.
+//
+// Lloyd runs on flat kernels unrolled for 1 to 4 dims. k-means++ seeding
+// keeps each point's distance to its nearest centroid so far and measures
+// only the newest centroid per round. All of it gives, bit for bit, the
+// results of the straightforward per-point loops in a given build.
 #ifndef RELBORG_ML_KMEANS_H_
 #define RELBORG_ML_KMEANS_H_
 
@@ -60,7 +67,9 @@ struct WeightedPoints {
 // Weighted Lloyd's algorithm with k-means++ style seeding. A cluster left
 // without mass is reseeded at a uniformly drawn point. Stops after
 // max_iters iterations, or early at an iteration past the first that
-// changes no assignment.
+// changes no assignment. A point with a NaN coordinate is left out (the
+// result is that of a run without it), so all-NaN input gives no
+// centroids.
 KMeansResult LloydKMeans(const WeightedPoints& points,
                          const KMeansOptions& options);
 
@@ -76,7 +85,7 @@ KMeansResult RelationalKMeans(const RootedTree& tree, const FeatureMap& fm,
 
 // Evaluates the k-means objective of `centroids` over explicit points
 // (used to compare coreset centroids against the baseline's on equal
-// footing).
+// footing). Points with a NaN coordinate are left out, as in LloydKMeans.
 double KMeansObjective(const WeightedPoints& points,
                        const std::vector<std::vector<double>>& centroids);
 

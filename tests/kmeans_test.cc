@@ -238,6 +238,57 @@ TEST(LloydKMeansTest, EmptyInput) {
   EXPECT_EQ(r.objective, 0.0);
 }
 
+// A point with a NaN coordinate is left out: the result is bit-equal to a
+// run over the other points, weighted or not, and KMeansObjective skips it
+// too. With every point NaN there is nothing to cluster.
+TEST(LloydKMeansTest, NanPointsAreLeftOut) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unweighted");
+    WeightedPoints with_nan = ThreeBlobs(20, 3);
+    if (weighted) {
+      for (size_t i = 0; i < with_nan.num_points(); ++i) {
+        with_nan.weights.push_back(0.5 + static_cast<double>(i % 3));
+      }
+    }
+    WeightedPoints without;
+    without.dims = with_nan.dims;
+    for (size_t i = 0; i < with_nan.num_points(); ++i) {
+      if (i % 7 == 0) {
+        // One or both coordinates NaN, the first point included.
+        with_nan.coords[i * 2 + (i % 2)] = nan;
+        if (i % 3 == 0) with_nan.coords[i * 2 + 1 - (i % 2)] = nan;
+        continue;
+      }
+      without.coords.insert(without.coords.end(), with_nan.Point(i),
+                            with_nan.Point(i) + 2);
+      if (weighted) without.weights.push_back(with_nan.weights[i]);
+    }
+    KMeansOptions opts;
+    opts.k = 3;
+    const KMeansResult want = LloydKMeans(without, opts);
+    const KMeansResult got = LloydKMeans(with_nan, opts);
+    EXPECT_TRUE(std::isfinite(got.objective));
+    ExpectSameBits(want, got);
+    EXPECT_TRUE(SameBits(KMeansObjective(without, want.centroids),
+                         KMeansObjective(with_nan, want.centroids)));
+    if (!weighted) {
+      DataMatrix data({"x", "y"});
+      for (size_t i = 0; i < with_nan.num_points(); ++i) {
+        data.AppendRow(with_nan.Point(i));
+      }
+      ExpectSameBits(want, LloydKMeans(data, opts));
+    }
+  }
+  WeightedPoints all_nan;
+  all_nan.dims = 2;
+  all_nan.coords.assign(10, nan);
+  const KMeansResult r = LloydKMeans(all_nan, {});
+  EXPECT_TRUE(r.centroids.empty());
+  EXPECT_EQ(r.objective, 0.0);
+  EXPECT_EQ(r.iterations, 0);
+}
+
 // The point sets of the kernel-vs-oracle grid. Each reaches a different
 // branch of seeding or the update step.
 enum class Shape {
@@ -275,7 +326,8 @@ class LloydKernelVsOracle
 TEST_P(LloydKernelVsOracle, BitIdentical) {
   auto [dims, shape] = GetParam();
   const WeightedPoints pts = MakeShape(shape, dims, 17 + dims);
-  for (int k : {1, 3, 8}) {
+  // k = 12 runs eleven seeding rounds.
+  for (int k : {1, 3, 8, 12}) {
     for (int max_iters : {0, 1, 30}) {
       SCOPED_TRACE(::testing::Message() << "k=" << k
                                         << " max_iters=" << max_iters);
@@ -294,7 +346,7 @@ TEST_P(LloydKernelVsOracle, BitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     DimsAndShapes, LloydKernelVsOracle,
-    ::testing::Combine(::testing::Range(1, 7),
+    ::testing::Combine(::testing::Range(1, 13),
                        ::testing::Values(Shape::kUniform, Shape::kWeighted,
                                          Shape::kDuplicates,
                                          Shape::kZeroMass)));
@@ -335,6 +387,25 @@ struct RetailerGolden {
   double objective;
   std::vector<std::vector<double>> centroids;
 };
+
+// Rk-means with default options on Retailer at scale 0.01, rooted at the
+// relation named `root`, against `g`.
+void ExpectRetailerGolden(const char* root, const RetailerGolden& g) {
+  SCOPED_TRACE(::testing::Message() << "root=" << root << " seed=" << g.seed);
+  GenOptions gen;
+  gen.scale = 0.01;
+  gen.seed = g.seed;
+  const Dataset ds = MakeRetailer(gen);
+  const FeatureMap fm(ds.query, ds.features);
+  const KMeansResult r =
+      RelationalKMeans(ds.query.Root(ds.query.IndexOf(root)), fm, {});
+  EXPECT_EQ(r.coreset_size, g.coreset_size);
+  KMeansResult want;
+  want.iterations = g.iterations;
+  want.objective = g.objective;
+  want.centroids = g.centroids;
+  ExpectSameBits(want, r);
+}
 
 TEST(RelationalKMeansGolden, RetailerBitIdentical) {
   const RetailerGolden goldens[] = {
@@ -430,21 +501,116 @@ TEST(RelationalKMeansGolden, RetailerBitIdentical) {
          0x1.704eddc09a39bp+3, 0x1.f43eebb43c6bbp-3, 0x1.0f657f4ddc584p+3}}},
 #endif
   };
-  for (const RetailerGolden& g : goldens) {
-    SCOPED_TRACE(::testing::Message() << "seed=" << g.seed);
-    GenOptions gen;
-    gen.scale = 0.01;
-    gen.seed = g.seed;
-    const Dataset ds = MakeRetailer(gen);
-    const FeatureMap fm(ds.query, ds.features);
-    const KMeansResult r = RelationalKMeans(ds.RootAtFact(), fm, {});
-    EXPECT_EQ(r.coreset_size, g.coreset_size);
-    KMeansResult want;
-    want.iterations = g.iterations;
-    want.objective = g.objective;
-    want.centroids = g.centroids;
-    ExpectSameBits(want, r);
-  }
+  for (const RetailerGolden& g : goldens) ExpectRetailerGolden("Inventory", g);
+}
+
+// Rooted at Weather or at Stores, Inventory lies below the root and its
+// payloads hold many coreset keys per join key, so the counting pass runs
+// its general product; rooted at Inventory every payload holds one key.
+struct RootedGolden {
+  const char* root;
+  RetailerGolden golden;
+};
+
+TEST(RelationalKMeansGolden, RetailerOtherRootsBitIdentical) {
+  const RootedGolden goldens[] = {
+#if defined(__FMA__)
+      {"Weather",
+       {1, 8, 4872, 0x1.cbcd06e8cf626p+24,
+        {
+         {0x1.e2a6253160e1ep+4, 0x1.44050a1a2abcp+6, 0x1.73922c5b4209cp+5,
+          0x1.056f70c76b03p+4, 0x1.007a5527e997dp+6, 0x1.53108eb471bf5p+5,
+          0x1.5a5f367fb9b2ap+4, 0x1.cdfd9b662f7bcp+5, 0x1.7393bd5c3e7c8p+5,
+          0x1.8f30860939f2cp+3, 0x1.06019c95aab61p-2, 0x1.3527bab4dab27p+3},
+         {0x1.dea6763cd9cd9p+4, 0x1.32befcc2aebfap+7, 0x1.55a6ce57f519ap+6,
+          0x1.1c7fba53cf43cp+4, 0x1.546011ccba1e2p+4, 0x1.2f7cdeff56898p+5,
+          0x1.d0427bb713aap+2, 0x1.ad576e93ceb69p+5, 0x1.518f9f540e347p+5,
+          0x1.7d2eee85a68b3p+3, 0x1.fa62c0b1431acp-3, 0x1.448d08c232a22p+3},
+         {0x1.d2ac63d51c03bp+4, 0x1.7515b1e1df79fp+7, 0x1.e4777eb1fda4fp+6,
+          0x1.0c1fafeb2018p+3, 0x1.8a62c9c7f3f16p+3, 0x1.1c265cf107242p+5,
+          0x1.27f50d323ab5p+2, 0x1.f4fd14f31ad2fp+5, 0x1.9b4c01ceb97a1p+5,
+          0x1.a0f998e781d4ep+3, 0x1.1b98cff4ae98dp-2, 0x1.40dc82f6339b1p+3},
+         {0x1.dfa17b9ea472ap+4, 0x1.b2a754401dd5p+5, 0x1.b4f252ef6f703p+5,
+          0x1.e0a3b478b02b9p+3, 0x1.5320b061d7111p+4, 0x1.329fed10c4742p+5,
+          0x1.e33be93411f2fp+2, 0x1.94574062dbeap+5, 0x1.37a1878d7c12fp+5,
+          0x1.82b41520ef39ep+3, 0x1.edc293e7304d9p-3, 0x1.1d8a5499810eep+3},
+         {0x1.e1a76a42e5dccp+4, 0x1.79f90998db54dp+7, 0x1.45a58aa6a749bp+6,
+          0x1.5805e5ba30203p+3, 0x1.0f05116ad3d76p+6, 0x1.7ab67eafce00ep+5,
+          0x1.6d428719143aap+4, 0x1.16e6c8fba00e7p+6, 0x1.d8a2ae74e3cc9p+5,
+          0x1.7adb13e1b78c4p+3, 0x1.1fd2bffeb3a7ap-2, 0x1.54d3267fc20afp+3}}}},
+      {"Stores",
+       {2, 3, 4334, 0x1.b0f52e5154548p+24,
+        {
+         {0x1.ebec13df59517p+4, 0x1.50800f25bd603p+7, 0x1.14a93cb43de1bp+6,
+          0x1.260de486d5177p+4, 0x1.671c04616a992p+3, 0x1.47f345e0d3f1dp+5,
+          0x1.dffe69a540aa1p+1, 0x1.6290f6cf8f68dp+5, 0x1.04343c5f6cf34p+5,
+          0x1.7ff50e35a95ep+3, 0x1.118c9489912fep-2, 0x1.595a7cc82fdaap+3},
+         {0x1.e3adcdaea62c1p+4, 0x1.4e41aa85a1b7cp+4, 0x1.af3124436b18cp+6,
+          0x1.77b3046b523eap+4, 0x1.06c4bd7a460dfp+6, 0x1.d96cc554b1b9ep+4,
+          0x1.559e6055fd2b7p+4, 0x1.73d295dc80e5p+5, 0x1.16c698154b6f1p+5,
+          0x1.72e925b7b9701p+3, 0x1.071dc9ba9952dp-2, 0x1.d8ad05f63ccf4p+2},
+         {0x1.f11905ebd9ba5p+4, 0x1.debdfaf0290d4p+6, 0x1.f7c9c7598dbcep+6,
+          0x1.063e2238f1cfap+4, 0x1.8e24a979ebb1fp+5, 0x1.0d03ca03da818p+5,
+          0x1.0f7a0cfe60389p+4, 0x1.7cd8b5d51f286p+5, 0x1.1f9be47a5ef2p+5,
+          0x1.90f021e40addcp+3, 0x1.08c79faddb30dp-2, 0x1.34ef5124a3138p+3},
+         {0x1.f003b0032823cp+4, 0x1.6a861a93a2c0ap+6, 0x1.d24951829ed02p+5,
+          0x1.36e4bf907cdfp+4, 0x1.c85bc10e9a69ep+5, 0x1.e2cda4a695109p+4,
+          0x1.50a054f513552p+4, 0x1.a9a1a7b5c7c65p+5, 0x1.4edd93866a68ap+5,
+          0x1.7bf6feaea08c4p+3, 0x1.ed1e2508d78bbp-3, 0x1.16b2567ae40fcp+3},
+         {0x1.f2e11fe97babcp+4, 0x1.6bc7490c437fap+7, 0x1.69a8af2499971p+6,
+          0x1.2dd22ae292829p+3, 0x1.01443358fed1dp+6, 0x1.1816d334ae8a8p+5,
+          0x1.713c5edf4c07ep+4, 0x1.a81624f1a4816p+5, 0x1.4d52255b9e386p+5,
+          0x1.7e79eacac8eeep+3, 0x1.f06faf9544567p-3, 0x1.8ad1b3ed183d4p+3}}}},
+#else
+      {"Weather",
+       {1, 8, 4872, 0x1.cbcd06e8cf627p+24,
+        {
+         {0x1.e2a6253160e1ep+4, 0x1.44050a1a2abcp+6, 0x1.73922c5b4209cp+5,
+          0x1.056f70c76b03p+4, 0x1.007a5527e997dp+6, 0x1.53108eb471bf5p+5,
+          0x1.5a5f367fb9b2ap+4, 0x1.cdfd9b662f7bbp+5, 0x1.7393bd5c3e7c8p+5,
+          0x1.8f30860939f2cp+3, 0x1.06019c95aab61p-2, 0x1.3527bab4dab27p+3},
+         {0x1.dea6763cd9cd9p+4, 0x1.32befcc2aebfap+7, 0x1.55a6ce57f519ap+6,
+          0x1.1c7fba53cf43cp+4, 0x1.546011ccba1e2p+4, 0x1.2f7cdeff56898p+5,
+          0x1.d0427bb713aap+2, 0x1.ad576e93ceb69p+5, 0x1.518f9f540e347p+5,
+          0x1.7d2eee85a68b5p+3, 0x1.fa62c0b1431acp-3, 0x1.448d08c232a22p+3},
+         {0x1.d2ac63d51c03bp+4, 0x1.7515b1e1df79ep+7, 0x1.e4777eb1fda4fp+6,
+          0x1.0c1fafeb2018p+3, 0x1.8a62c9c7f3f16p+3, 0x1.1c265cf107242p+5,
+          0x1.27f50d323ab5p+2, 0x1.f4fd14f31ad2fp+5, 0x1.9b4c01ceb97a1p+5,
+          0x1.a0f998e781d4ep+3, 0x1.1b98cff4ae98dp-2, 0x1.40dc82f6339b1p+3},
+         {0x1.dfa17b9ea472ap+4, 0x1.b2a754401dd5p+5, 0x1.b4f252ef6f705p+5,
+          0x1.e0a3b478b02b9p+3, 0x1.5320b061d7111p+4, 0x1.329fed10c4742p+5,
+          0x1.e33be93411f2fp+2, 0x1.94574062dbeap+5, 0x1.37a1878d7c12fp+5,
+          0x1.82b41520ef39ep+3, 0x1.edc293e7304d7p-3, 0x1.1d8a5499810edp+3},
+         {0x1.e1a76a42e5dcdp+4, 0x1.79f90998db54dp+7, 0x1.45a58aa6a749bp+6,
+          0x1.5805e5ba30203p+3, 0x1.0f05116ad3d76p+6, 0x1.7ab67eafce00ep+5,
+          0x1.6d428719143aap+4, 0x1.16e6c8fba00e6p+6, 0x1.d8a2ae74e3cc9p+5,
+          0x1.7adb13e1b78c4p+3, 0x1.1fd2bffeb3a7ap-2, 0x1.54d3267fc20afp+3}}}},
+      {"Stores",
+       {2, 3, 4334, 0x1.b0f52e5154548p+24,
+        {
+         {0x1.ebec13df59517p+4, 0x1.50800f25bd603p+7, 0x1.14a93cb43de1bp+6,
+          0x1.260de486d5177p+4, 0x1.671c04616a992p+3, 0x1.47f345e0d3f1cp+5,
+          0x1.dffe69a540aa1p+1, 0x1.6290f6cf8f68cp+5, 0x1.04343c5f6cf34p+5,
+          0x1.7ff50e35a95ep+3, 0x1.118c9489912fep-2, 0x1.595a7cc82fdaap+3},
+         {0x1.e3adcdaea62c1p+4, 0x1.4e41aa85a1b7cp+4, 0x1.af3124436b18cp+6,
+          0x1.77b3046b523ecp+4, 0x1.06c4bd7a460dfp+6, 0x1.d96cc554b1b9ep+4,
+          0x1.559e6055fd2b7p+4, 0x1.73d295dc80e5p+5, 0x1.16c698154b6f1p+5,
+          0x1.72e925b7b9701p+3, 0x1.071dc9ba9952cp-2, 0x1.d8ad05f63ccf4p+2},
+         {0x1.f11905ebd9ba5p+4, 0x1.debdfaf0290d4p+6, 0x1.f7c9c7598dbcep+6,
+          0x1.063e2238f1cfap+4, 0x1.8e24a979ebb1fp+5, 0x1.0d03ca03da819p+5,
+          0x1.0f7a0cfe60389p+4, 0x1.7cd8b5d51f287p+5, 0x1.1f9be47a5ef1ep+5,
+          0x1.90f021e40addbp+3, 0x1.08c79faddb30dp-2, 0x1.34ef5124a3138p+3},
+         {0x1.f003b0032823cp+4, 0x1.6a861a93a2c0ap+6, 0x1.d24951829ed02p+5,
+          0x1.36e4bf907cdfp+4, 0x1.c85bc10e9a69ep+5, 0x1.e2cda4a695109p+4,
+          0x1.50a054f513551p+4, 0x1.a9a1a7b5c7c65p+5, 0x1.4edd93866a68ap+5,
+          0x1.7bf6feaea08c1p+3, 0x1.ed1e2508d78bbp-3, 0x1.16b2567ae40fcp+3},
+         {0x1.f2e11fe97babdp+4, 0x1.6bc7490c437f9p+7, 0x1.69a8af2499971p+6,
+          0x1.2dd22ae292829p+3, 0x1.01443358fed1dp+6, 0x1.1816d334ae8a8p+5,
+          0x1.713c5edf4c07ep+4, 0x1.a81624f1a4816p+5, 0x1.4d52255b9e387p+5,
+          0x1.7e79eacac8eeep+3, 0x1.f06faf9544567p-3, 0x1.8ad1b3ed183d4p+3}}}},
+#endif
+  };
+  for (const RootedGolden& g : goldens) ExpectRetailerGolden(g.root, g.golden);
 }
 
 // F(k, x) with 200 rows joins D(k, y) with 20. A NaN lands in the rows
@@ -516,6 +682,59 @@ TEST(RelationalKMeansTest, NanFeatureRowsAreLeftOut) {
           RelationalKMeans(without.query.Root(root), fm_without, {});
       EXPECT_EQ(got.coreset_size, want.coreset_size);
       ExpectSameBits(want, got);
+    }
+  }
+}
+
+// R(a, b, x) joins A(a, y) and B(b, z), A before B among R's children.
+// A's two rows with a = 1 are equal, so they share a centroid and A's
+// payload for a = 1 holds one key counted twice; B's rows with b = 1
+// differ, so B's payload for b = 1 holds two keys. The R rows with b = 1
+// meet a single-key payload first and a multi-key one second. Every local
+// centroid is a row's exact value, so one centroid over the coreset is
+// the mean of the join's 9 tuples.
+TEST(RelationalKMeansTest, MixedPayloadsCountEveryTuple) {
+  Catalog catalog;
+  Relation* r = catalog.AddRelation(
+      "R", Schema({{"a", AttrType::kCategorical},
+                   {"b", AttrType::kCategorical},
+                   {"x", AttrType::kDouble}}));
+  Relation* a = catalog.AddRelation(
+      "A", Schema({{"a", AttrType::kCategorical}, {"y", AttrType::kDouble}}));
+  Relation* b = catalog.AddRelation(
+      "B", Schema({{"b", AttrType::kCategorical}, {"z", AttrType::kDouble}}));
+  for (const std::vector<double>& row :
+       {std::vector<double>{1, 1, 0}, {2, 1, 1}, {1, 2, 2}, {2, 2, 3}}) {
+    r->AppendRow(row);
+  }
+  a->AppendRow({1, 5});
+  a->AppendRow({1, 5});
+  a->AppendRow({2, 7});
+  b->AppendRow({1, 0});
+  b->AppendRow({1, 10});
+  b->AppendRow({2, 3});
+  JoinQuery query;
+  query.AddRelation(r);
+  query.AddRelation(a);
+  query.AddRelation(b);
+  query.AddJoin("R", "A", {"a"});
+  query.AddJoin("R", "B", {"b"});
+  const FeatureMap fm(query, {{"R", "x"}, {"A", "y"}, {"B", "z"}});
+  KMeansOptions opts;
+  opts.k = 1;
+  for (int root = 0; root < 3; ++root) {
+    SCOPED_TRACE(::testing::Message() << "root " << root);
+    const RootedTree tree = query.Root(root);
+    const KMeansResult got = RelationalKMeans(tree, fm, opts);
+    const DataMatrix data = MaterializeJoin(tree, fm);
+    ASSERT_EQ(data.num_rows(), 9u);
+    EXPECT_EQ(got.coreset_size, 6u);  // distinct join tuples
+    ASSERT_EQ(got.centroids.size(), 1u);
+    for (int d = 0; d < data.num_cols(); ++d) {
+      double mean = 0;
+      for (size_t i = 0; i < data.num_rows(); ++i) mean += data.At(i, d);
+      mean /= static_cast<double>(data.num_rows());
+      EXPECT_NEAR(got.centroids[0][d], mean, 1e-12) << "dim " << d;
     }
   }
 }
